@@ -629,9 +629,12 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
       add(ci_resp, t_resp_, !low);
     }
   };
+  // With work the rate and resp cursors are absent (cost_chain ignores
+  // both then), so only the work-free chain reads them.
   const auto cost_bound = [&]() {
     return cost_chain(f(ci_price), has_work ? f(ci_cpu) : 0.0,
-                      has_payload ? f(ci_rate) : 0.0, has_work ? 0.0 : f(ci_resp));
+                      !has_work && has_payload ? f(ci_rate) : 0.0,
+                      has_work ? 0.0 : f(ci_resp));
   };
 
   const std::size_t budget = pull_budget(n_el);

@@ -151,7 +151,7 @@ class FlowScheduler {
 
   /// Registers this scheduler's instruments in `registry` and starts
   /// recording into them; zero-cost when never called (every record
-  /// site is one null test, like Network::set_tracer). With
+  /// site is one null test, like set_trace). With
   /// `wall_profiling` the re-level path also times itself with the
   /// steady clock into `net.flows.relevel_wall_s` — re-levels run
   /// within one sim instant, so only wall time can profile them. A

@@ -8,7 +8,7 @@
 // (FlowScheduler re-levels run within a single sim instant, so their
 // virtual elapsed is always zero). Both are zero-cost when detached:
 // constructed with a null histogram they read no clock and record
-// nothing, mirroring the `if (tracer_)` idiom.
+// nothing, mirroring the null-handle idiom of metric attachment.
 //
 // The event loop itself cannot be instrumented from inside sim (obs
 // sits above sim in the layer graph), so run_profiled() drives a

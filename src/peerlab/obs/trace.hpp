@@ -6,8 +6,8 @@
 // candidate-index pulls, confirms/refusals, flow lifecycle, failover
 // re-homing, stats feedback — can be reconstructed for one TraceId.
 //
-// The design extends sim::Tracer's bounded-ring discipline to
-// structured, join-able records:
+// It is the project's only tracer (faults, flows, selections and
+// message hops all land here), built on three rules:
 //  * per-node rings of POD TraceRecords, preallocated on first use per
 //    node and then alloc-free: emit() is a couple of stores plus the
 //    global sequence increment, never a heap touch;

@@ -126,44 +126,6 @@ std::vector<core::PeerSnapshot> BrokerPeer::snapshot_group() const {
   return snapshots;
 }
 
-PeerId BrokerPeer::select_peer(const core::SelectionContext& context) {
-  const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
-  const bool traced = trace_ != nullptr && context.trace.active();
-  if (econ_.applies(context)) {
-    const auto selected = econ_select(context, 1);
-    return selected.empty() ? PeerId() : selected.front();
-  }
-  if (index_active_ && index_.try_select(context, sim().now(), 1, index_out_)) {
-    if (traced) trace_->emit(node_, TraceKind::kIndexPull, context.trace, 1, index_out_.size());
-    return index_out_.empty() ? PeerId() : index_out_.front();
-  }
-  const auto snapshots = snapshot_group();
-  if (!config_.reputation.enabled) {
-    const PeerId best = model_->select(snapshots, context);
-    if (traced) {
-      trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                   best.valid() ? 1 : 0);
-    }
-    return best;
-  }
-  core::SelectionContext defended = context;
-  defended.reputation_weight = config_.reputation.rank_penalty_weight;
-  const std::size_t base_excludes = defended.exclude.size();
-  reputation_.append_quarantined(sim().now(), defended.exclude);
-  PeerId best = model_->select(snapshots, defended);
-  if (!best.valid() && defended.exclude.size() > base_excludes) {
-    // Graceful degradation: a quarantine that empties the candidate set
-    // is lifted for this decision — a distrusted peer beats none.
-    defended.exclude.resize(base_excludes);
-    best = model_->select(snapshots, defended);
-  }
-  if (traced) {
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                 best.valid() ? 1 : 0);
-  }
-  return best;
-}
-
 std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& context,
                                              std::size_t k) {
   const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
@@ -177,27 +139,10 @@ std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& conte
     return index_out_;
   }
   const auto snapshots = snapshot_group();
-  if (!config_.reputation.enabled) {
-    auto selected = model_->select_k(snapshots, context, k);
-    if (traced) {
-      trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                   selected.size());
-    }
-    return selected;
-  }
-  core::SelectionContext defended = context;
-  defended.reputation_weight = config_.reputation.rank_penalty_weight;
-  const std::size_t base_excludes = defended.exclude.size();
-  reputation_.append_quarantined(sim().now(), defended.exclude);
-  if (traced && defended.exclude.size() > base_excludes) {
-    trace_->emit(node_, TraceKind::kReputationExclude, context.trace,
-                 defended.exclude.size() - base_excludes, 0);
-  }
-  auto selected = model_->select_k(snapshots, defended, k);
-  if (selected.empty() && defended.exclude.size() > base_excludes) {
-    defended.exclude.resize(base_excludes);
-    selected = model_->select_k(snapshots, defended, k);
-  }
+  core::SelectionContext effective = context;
+  std::vector<PeerId> selected;
+  rank_defended(snapshots, effective, selected);
+  if (selected.size() > k) selected.resize(k);
   if (traced) {
     trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
                  selected.size());
@@ -205,33 +150,41 @@ std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& conte
   return selected;
 }
 
+void BrokerPeer::rank_defended(std::span<const core::PeerSnapshot> snapshots,
+                               core::SelectionContext& effective,
+                               std::vector<PeerId>& ranking) {
+  if (!config_.reputation.enabled) {
+    model_->rank_into(snapshots, effective, ranking);
+    return;
+  }
+  effective.reputation_weight = config_.reputation.rank_penalty_weight;
+  const std::size_t base_excludes = effective.exclude.size();
+  reputation_.append_quarantined(sim().now(), effective.exclude);
+  const std::size_t quarantined = effective.exclude.size() - base_excludes;
+  if (trace_ != nullptr && effective.trace.active() && quarantined > 0) {
+    trace_->emit(node_, TraceKind::kReputationExclude, effective.trace, quarantined, 0);
+  }
+  model_->rank_into(snapshots, effective, ranking);
+  if (ranking.empty() && quarantined > 0) {
+    // Graceful degradation: a quarantine that empties the candidate set
+    // is lifted for this decision — a distrusted peer beats none.
+    effective.exclude.resize(base_excludes);
+    model_->rank_into(snapshots, effective, ranking);
+  }
+}
+
 std::vector<PeerId> BrokerPeer::econ_select(const core::SelectionContext& context,
                                             std::size_t k) {
   // Economically-constrained petitions never take the index fast path:
   // admission needs the model's *full* ranking (the index's threshold
   // walk stops at k), and the index refuses these contexts anyway. The
-  // reputation overlay is applied exactly as on the plain scan path so
-  // a defended broker defends constrained petitions too.
+  // reputation overlay is the plain scan path's, so a defended broker
+  // defends constrained petitions too.
   const bool traced = trace_ != nullptr && context.trace.active();
   const auto snapshots = snapshot_group();
   core::SelectionContext effective = context;
-  const std::size_t base_excludes = effective.exclude.size();
-  if (config_.reputation.enabled) {
-    effective.reputation_weight = config_.reputation.rank_penalty_weight;
-    reputation_.append_quarantined(sim().now(), effective.exclude);
-    if (traced && effective.exclude.size() > base_excludes) {
-      trace_->emit(node_, TraceKind::kReputationExclude, context.trace,
-                   effective.exclude.size() - base_excludes, 0);
-    }
-  }
   std::vector<PeerId> ranking;
-  model_->rank_into(snapshots, effective, ranking);
-  if (ranking.empty() && effective.exclude.size() > base_excludes) {
-    // Same graceful degradation as the plain path: a quarantine that
-    // empties the candidate set is lifted for this decision.
-    effective.exclude.resize(base_excludes);
-    model_->rank_into(snapshots, effective, ranking);
-  }
+  rank_defended(snapshots, effective, ranking);
   const auto verdict = econ_.admit_and_rank(snapshots, effective, ranking);
   if (ranking.size() > k) ranking.resize(k);
   // Optimistic backlog: the answered peers are about to receive work
@@ -493,10 +446,6 @@ void BrokerPeer::serve_selection(const transport::Message& m) {
     trace_->emit(node_, TraceKind::kSelectServe, m.trace.hop(), k, m.src.value());
   }
   const auto selected = select_peers(context, k);
-  if (auto* tracer = endpoint_.fabric().network().tracer()) {
-    tracer->record(sim().now(), sim::TraceCategory::kSelection, "selection-served",
-                   model_->name(), k, selected.size());
-  }
   const std::uint64_t ticket = directories_.selections.park(selected);
   endpoint_.reply(m, transport::MessageType::kSelectResponse,
                   static_cast<std::int64_t>(ticket));

@@ -111,7 +111,6 @@ class BrokerPeer {
 
   /// Local (zero-latency) selection; the wire path goes through the
   /// kSelectRequest handler.
-  [[nodiscard]] PeerId select_peer(const core::SelectionContext& context);
   [[nodiscard]] std::vector<PeerId> select_peers(const core::SelectionContext& context,
                                                  std::size_t k);
 
@@ -210,6 +209,14 @@ class BrokerPeer {
                              const std::vector<PeerId>& picked);
   /// Re-registers every client with the index (adopted state).
   void rebuild_index();
+  /// The reputation overlay every scan ranking goes through: with
+  /// defenses on, applies the rank-penalty weight and excludes
+  /// quarantined peers (traced as kReputationExclude), lifting the
+  /// quarantine when it empties the candidate set. Writes the full
+  /// best-first ranking to `ranking`; `effective` ends as the context
+  /// that ranking used.
+  void rank_defended(std::span<const core::PeerSnapshot> snapshots,
+                     core::SelectionContext& effective, std::vector<PeerId>& ranking);
   /// The economically-constrained selection path: full model ranking
   /// (reputation overlay included), then engine admission/re-ranking,
   /// truncated to k. Only reached when econ_.applies(context).

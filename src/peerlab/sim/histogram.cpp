@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-
-#include "peerlab/common/check.hpp"
 
 namespace peerlab::sim {
 
@@ -43,56 +40,5 @@ double Summary::variance() const noexcept {
 }
 
 double Summary::stddev() const noexcept { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  PEERLAB_CHECK_MSG(hi > lo && bins > 0, "histogram needs hi > lo and >= 1 bin");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept { return bin_lo(i + 1); }
-
-double Histogram::quantile(double q) const {
-  PEERLAB_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double inside =
-          counts_[i] == 0 ? 0.0 : (target - cumulative) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + inside * (bin_hi(i) - bin_lo(i));
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 0;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        peak == 0 ? 0 : static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                                 static_cast<double>(peak) * static_cast<double>(width));
-    out += "[" + std::to_string(bin_lo(i)) + ", " + std::to_string(bin_hi(i)) + ") ";
-    out.append(bar, '#');
-    out += " " + std::to_string(counts_[i]) + "\n";
-  }
-  return out;
-}
 
 }  // namespace peerlab::sim

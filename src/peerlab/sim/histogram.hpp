@@ -1,12 +1,10 @@
 #pragma once
 
-// Streaming summary statistics and a fixed-bin histogram, used by the
-// experiment harness to aggregate repetition results and by the stats
-// module for windowed averages' sanity checks.
+// Streaming summary statistics (Summary), used by the experiment
+// harness to collapse per-repetition samples into mean/stddev/min/max.
+// Latency distributions live in obs::Histogram.
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace peerlab::sim {
 
@@ -30,33 +28,6 @@ class Summary {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-width bins over [lo, hi); out-of-range samples clamp to the
-/// edge bins so totals are conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-
-  /// Linear-interpolated quantile estimate, q in [0,1].
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Compact ASCII rendering for logs.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace peerlab::sim

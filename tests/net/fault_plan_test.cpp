@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "peerlab/common/check.hpp"
+#include "peerlab/obs/trace.hpp"
 #include "peerlab/sim/simulator.hpp"
 
 namespace peerlab::net {
@@ -259,6 +260,37 @@ TEST(FaultInjector, BrownoutScalesCapacityAndRestores) {
   EXPECT_NEAR(net.flows().capacity_factor(NodeId(2)), 0.5, 1e-12);
   sim.run_until(150.0);  // the restoring event is a daemon: advance past it
   EXPECT_NEAR(net.flows().capacity_factor(NodeId(2)), 1.0, 1e-12);
+}
+
+TEST(FaultInjector, BrownoutLeavesOneAmbientTraceRecordPerFactorChange) {
+  sim::Simulator sim(1);
+  auto net = make_network(sim, 2);
+  obs::trace::TraceRecorder recorder(sim);
+  FaultPlan plan;
+  plan.brownout(10.0, NodeId(2), 0.375, 100.0);
+  FaultInjector injector(net, plan);
+  injector.set_trace(&recorder);
+  const auto brownouts = [&] {
+    std::vector<obs::trace::TraceRecord> found;
+    for (const auto& record : recorder.events()) {
+      if (record.kind == obs::trace::TraceKind::kBrownout) found.push_back(record);
+    }
+    return found;
+  };
+
+  sim.run_until(50.0);  // the brownout began; its restore is still pending
+  auto records = brownouts();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_DOUBLE_EQ(records[0].time, 10.0);
+  EXPECT_EQ(records[0].node, NodeId(2));
+  EXPECT_EQ(records[0].trace, 0u);  // ambient: outside any causal chain
+  EXPECT_EQ(records[0].a, 375u);    // the factor, per mille
+
+  sim.run_until(150.0);
+  records = brownouts();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_DOUBLE_EQ(records[1].time, 110.0);
+  EXPECT_EQ(records[1].a, 1000u);  // back to nominal
 }
 
 }  // namespace

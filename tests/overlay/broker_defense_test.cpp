@@ -122,7 +122,9 @@ TEST(BrokerDefense, QuarantinedPeersDropOutOfSelection) {
   const auto selected = w.broker->select_peers(ctx, 3);
   EXPECT_EQ(selected.size(), 2u);
   EXPECT_EQ(std::count(selected.begin(), selected.end(), leech), 0);
-  EXPECT_NE(w.broker->select_peer(ctx), leech);
+  const auto best = w.broker->select_peers(ctx, 1);
+  ASSERT_EQ(best.size(), 1u);
+  EXPECT_NE(best.front(), leech);
 }
 
 TEST(BrokerDefense, AllPeersQuarantinedFallsBackGracefully) {
@@ -138,7 +140,7 @@ TEST(BrokerDefense, AllPeersQuarantinedFallsBackGracefully) {
   core::SelectionContext ctx;
   ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
   EXPECT_EQ(w.broker->select_peers(ctx, 2).size(), 2u);
-  EXPECT_TRUE(w.broker->select_peer(ctx).valid());
+  EXPECT_EQ(w.broker->select_peers(ctx, 1).size(), 1u);
   // An explicit caller exclude survives the fallback untouched.
   ctx.exclude.push_back(PeerId(2));
   const auto selected = w.broker->select_peers(ctx, 2);

@@ -103,7 +103,7 @@ TEST(EconBroker, EnabledEngineLeavesUnconstrainedPetitionsAlone) {
   core::SelectionContext plain;
   plain.now = world.sim.now();
   (void)world.broker->select_peers(plain, 3);
-  (void)world.broker->select_peer(plain);
+  (void)world.broker->select_peers(plain, 1);
   // The engine never saw them; the index served them.
   EXPECT_EQ(world.broker->econ_engine().petitions(), 0u);
   EXPECT_GT(world.broker->candidate_index().fast_path_selections(), 0u);
@@ -117,8 +117,8 @@ TEST(EconBroker, CostTimeAdmissionPicksTheCheapestQuote) {
   world.boot(2.0);
 
   const auto ctx = constrained_at(world.sim.now());
-  const PeerId picked = world.broker->select_peer(ctx);
-  ASSERT_TRUE(picked.valid());
+  const auto picked = world.broker->select_peers(ctx, 1);
+  ASSERT_EQ(picked.size(), 1u);
 
   // Recompute every quote the engine saw; the pick must be the
   // cheapest (cost-time default, everyone feasible, fresh world =>
@@ -133,7 +133,7 @@ TEST(EconBroker, CostTimeAdmissionPicksTheCheapestQuote) {
       best = snap.peer;
     }
   }
-  EXPECT_EQ(picked, best);
+  EXPECT_EQ(picked.front(), best);
   EXPECT_EQ(world.broker->econ_engine().petitions(), 1u);
   EXPECT_GT(world.broker->econ_engine().admitted(), 0u);
 }
@@ -147,8 +147,8 @@ TEST(EconBroker, ExhaustedPetitionStillAnswers) {
 
   auto ctx = constrained_at(world.sim.now());
   ctx.budget = 1e-9;  // nobody can quote under this
-  const PeerId picked = world.broker->select_peer(ctx);
-  EXPECT_TRUE(picked.valid());  // least-bad service, never a refusal
+  // Least-bad service, never a refusal.
+  EXPECT_EQ(world.broker->select_peers(ctx, 1).size(), 1u);
   EXPECT_EQ(world.broker->econ_engine().exhausted(), 1u);
 }
 
@@ -198,7 +198,7 @@ TEST(EconBroker, QuarantinedPeersStayExcludedOnTheEconPath) {
     const PeerId peer = peer_of(NodeId(i + 2));
     for (int hit = 0; hit < 4; ++hit) world.broker->reputation().record_failure(peer, now);
   }
-  EXPECT_TRUE(world.broker->select_peer(constrained_at(now)).valid());
+  EXPECT_EQ(world.broker->select_peers(constrained_at(now), 1).size(), 1u);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ TEST(SelectionFallback, AllQuarantinedStillAnswersOnDefendedBroker) {
     if (economic) {
       world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
     }
-    const PeerId best = world.broker->select_peer(context_at(world.sim.now()));
-    EXPECT_TRUE(best.valid()) << "economic=" << economic;
+    const auto best = world.broker->select_peers(context_at(world.sim.now()), 1);
+    EXPECT_EQ(best.size(), 1u) << "economic=" << economic;
     const auto ranked = world.broker->select_peers(context_at(world.sim.now()), 2);
     EXPECT_FALSE(ranked.empty()) << "economic=" << economic;
   }
@@ -72,7 +72,7 @@ TEST(SelectionFallback, ExcludeCoveringRegistryYieldsEmptyLikeScan) {
   const auto want = peerlab::testing::ref_select_k(reference, snaps, ctx, 3);
   EXPECT_TRUE(want.empty());
   EXPECT_EQ(got, want);
-  EXPECT_FALSE(world.broker->select_peer(ctx).valid());
+  EXPECT_TRUE(world.broker->select_peers(ctx, 1).empty());
   // The empty answer came from the index, not from a silent bail-out.
   EXPECT_GT(world.broker->candidate_index().fast_path_selections(), 0u);
   EXPECT_EQ(world.broker->candidate_index().scan_fallbacks(), 0u);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "peerlab/common/check.hpp"
 #include "peerlab/sim/rng.hpp"
 
 namespace peerlab::sim {
@@ -60,66 +59,6 @@ TEST(Summary, MergeWithEmptySides) {
   b.merge(a);  // merging into empty copies
   EXPECT_EQ(b.count(), 1u);
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
-TEST(Histogram, BinsPartitionRange) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, SamplesLandInCorrectBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(1.9);
-  h.add(5.0);
-  h.add(9.99);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(2), 1u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-3.0);
-  h.add(42.0);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, QuantileOnUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  Rng r(37);
-  for (int i = 0; i < 50000; ++i) h.add(r.uniform());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
-}
-
-TEST(Histogram, QuantileBounds) {
-  Histogram h(0.0, 1.0, 10);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty -> lo
-  h.add(0.55);
-  EXPECT_THROW((void)h.quantile(-0.1), InvariantError);
-  EXPECT_THROW((void)h.quantile(1.1), InvariantError);
-}
-
-TEST(Histogram, RejectsDegenerateConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), InvariantError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), InvariantError);
-}
-
-TEST(Histogram, RenderProducesOneLinePerBin) {
-  Histogram h(0.0, 3.0, 3);
-  h.add(0.5);
-  h.add(1.5);
-  const std::string art = h.render(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "peerlab/common/check.hpp"
@@ -98,6 +99,12 @@ struct MeanCase {
   double tolerance;
   std::function<double(Rng&)> draw;
 };
+
+// gtest lists each case as "<name> # GetParam() = <printed param>", and
+// ctest takes that whole line as the test name. Without this overload the
+// param prints as raw bytes, pointers included, so the names would change
+// with every build's load address.
+void PrintTo(const MeanCase& c, std::ostream* os) { *os << c.name; }
 
 class RngMeanTest : public ::testing::TestWithParam<MeanCase> {};
 
