@@ -24,6 +24,12 @@
 //    the scan at every arm; sub-linearity is only required of the
 //    models whose fast path never walks (blind/evaluator/preference).
 //
+// Each flavor also runs a defended arm for the four models a defended
+// broker serves from the index (blind refuses a reputation weight):
+// petitions carry the broker's penalty weight 2.0 over seeded per-peer
+// reputation scores and a quarantine exclude list of 96 peers, and the
+// scan baseline ranks snapshots carrying the same scores.
+//
 // Extra flag: --max-clients N caps the largest arm (CI runs the 10k
 // arms only; the full 1M sweep is for the BENCH_5 snapshot).
 
@@ -67,11 +73,22 @@ struct Population {
   std::vector<int> transfers;
   std::vector<stats::PeerStatistics> statistics;  // prefix of the fleet
   stats::HistoryStore history{32};
+  std::vector<double> score;          // reputation; 1.0 for most peers
+  std::vector<PeerId> quarantined;    // the defended arm's exclude list
 };
+
+/// Quarantine list length: a long exclude list, as a defended broker's
+/// quarantine grows under attack.
+constexpr std::size_t kQuarantined = 96;
+/// SelectionContext::reputation_weight of a defended broker.
+constexpr double kPenaltyWeight = 2.0;
 
 Population build_population(std::size_t n, std::uint64_t seed, bool correlated) {
   Population pop;
   std::mt19937_64 rng(seed);
+  // Reputation draws come from their own stream, so the plain arms'
+  // registries stay the ones earlier runs measured.
+  std::mt19937_64 score_rng(seed ^ 0x5C0DEull);
   const std::size_t stats_cap = correlated ? n : kStatsPeers;
   const std::size_t history_cap = correlated ? n : kHistoryPeers;
   pop.peers.reserve(n);
@@ -81,6 +98,7 @@ Population build_population(std::size_t n, std::uint64_t seed, bool correlated) 
   pop.idle.reserve(n);
   pop.queued.reserve(n);
   pop.transfers.reserve(n);
+  pop.score.reserve(n);
   pop.statistics.reserve(std::min(n, stats_cap));
   // Correlated flavor: q is a shuffled permutation scaled into (0, 1) —
   // every peer's q is distinct, so every strictly monotone transform of
@@ -110,6 +128,13 @@ Population build_population(std::size_t n, std::uint64_t seed, bool correlated) 
       pop.idle.push_back((rng() % 3) != 0);
       pop.queued.push_back(static_cast<int>(rng() % 5));
       pop.transfers.push_back(static_cast<int>(rng() % 3));
+    }
+    // One peer in ten carries evidence against it; the first of those
+    // under the quarantine threshold (0.3) fill the quarantine list.
+    pop.score.push_back(score_rng() % 10 == 0 ? static_cast<double>(score_rng() % 1001) / 1000.0
+                                              : 1.0);
+    if (pop.score.back() < 0.3 && pop.quarantined.size() < kQuarantined) {
+      pop.quarantined.push_back(peer);
     }
     if (i < stats_cap) {
       pop.statistics.emplace_back();
@@ -157,11 +182,17 @@ Population build_population(std::size_t n, std::uint64_t seed, bool correlated) 
   return pop;
 }
 
-core::SelectionContext make_context(std::mt19937_64& rng) {
+/// A petition; `quarantined` non-null makes it a defended broker's.
+core::SelectionContext make_context(std::mt19937_64& rng,
+                                    const std::vector<PeerId>* quarantined) {
   core::SelectionContext ctx;
   ctx.now = kNow;
   if (rng() % 2 == 0) ctx.work = 1.0 + 0.5 * static_cast<double>(rng() % 20);
   if (rng() % 2 == 0) ctx.payload_size = static_cast<Bytes>(rng() % 8192 + 1) * 1024;
+  if (quarantined != nullptr) {
+    ctx.reputation_weight = kPenaltyWeight;
+    ctx.exclude = *quarantined;
+  }
   return ctx;
 }
 
@@ -181,6 +212,7 @@ std::vector<core::PeerSnapshot> make_snapshots(const Population& pop) {
     snap.active_transfers = pop.transfers[i];
     snap.statistics = i < pop.statistics.size() ? &pop.statistics[i] : nullptr;
     snap.history = &pop.history;
+    snap.reputation = pop.score[i];
     snaps.push_back(std::move(snap));
   }
   return snaps;
@@ -199,7 +231,8 @@ double elapsed_us(std::chrono::steady_clock::time_point from,
 }
 
 Measurement measure_model(core::CandidateIndex& index, core::SelectionModel& model,
-                          const std::vector<core::PeerSnapshot>& snaps, std::uint64_t seed,
+                          const std::vector<core::PeerSnapshot>& snaps,
+                          const std::vector<PeerId>* quarantined, std::uint64_t seed,
                           int index_reps, int scan_reps) {
   Measurement result;
   index.bind_model(&model);
@@ -223,17 +256,21 @@ Measurement measure_model(core::CandidateIndex& index, core::SelectionModel& mod
   while (index_total < index_reps || index_elapsed < kMinWindowUs) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int rep = 0; rep < index_reps; ++rep) {
-      const auto ctx = make_context(rng);
+      const auto ctx = make_context(rng, quarantined);
       (void)index.try_select(ctx, kNow, 4, out);
     }
     const auto t1 = std::chrono::steady_clock::now();
     index_elapsed += elapsed_us(t0, t1);
+    if (index_total == 0) {
+      // Pulls are a work count: read them over the first, fixed-size
+      // batch only, so the column does not depend on wall time.
+      result.pulls_per_petition = static_cast<double>(index.bound_pulls() - pulls_before) /
+                                  static_cast<double>(index_reps);
+    }
     index_total += index_reps;
   }
   result.index_us = index_elapsed / static_cast<double>(index_total);
   result.fast_path_only = index.scan_fallbacks() == fallbacks_before;
-  result.pulls_per_petition =
-      static_cast<double>(index.bound_pulls() - pulls_before) / static_cast<double>(index_total);
 
   std::mt19937_64 scan_rng(seed);
   long long scan_total = 0;
@@ -241,7 +278,7 @@ Measurement measure_model(core::CandidateIndex& index, core::SelectionModel& mod
   while (scan_total < scan_reps || scan_elapsed < kMinWindowUs) {
     const auto s0 = std::chrono::steady_clock::now();
     for (int rep = 0; rep < scan_reps; ++rep) {
-      const auto ctx = make_context(scan_rng);
+      const auto ctx = make_context(scan_rng, quarantined);
       (void)model.select_k(snaps, ctx, 4);
     }
     const auto s1 = std::chrono::steady_clock::now();
@@ -279,10 +316,14 @@ int main(int argc, char** argv) {
   const char* model_names[] = {"blind", "economic", "evaluator", "preference", "hybrid"};
   constexpr int kModels = 5;
   constexpr int kFlavors = 2;  // 0 = correlated, 1 = uniform
-  const char* flavor_names[] = {"correlated", "uniform"};
-  // per_model[flavor][m] = one Measurement per arm.
-  std::vector<std::vector<Measurement>> per_model[kFlavors];
-  for (auto& flavor : per_model) flavor.resize(kModels);
+  // Variants: a flavor's plain arm at v = flavor, its defended arm at
+  // v = kFlavors + flavor.
+  constexpr int kVariants = 2 * kFlavors;
+  const char* variant_names[] = {"correlated", "uniform", "correlated+def", "uniform+def"};
+  // per_model[variant][m] = one Measurement per arm (empty for blind
+  // in the defended variants).
+  std::vector<std::vector<Measurement>> per_model[kVariants];
+  for (auto& variant : per_model) variant.resize(kModels);
 
   Table table("Per-petition selection latency (k = 4, mean of timed reps)",
               {"clients", "registry", "model", "index us", "scan us", "speedup",
@@ -295,9 +336,9 @@ int main(int argc, char** argv) {
       core::CandidateIndex index;
       index.attach_metrics(metrics.registry());
       index.set_history(&pop.history);
+      index.set_reputation([&pop](PeerId peer) { return pop.score[peer.value() - 1]; });
       for (std::size_t i = 0; i < n; ++i) {
-        index.upsert_peer(pop.peers[i], NodeId(pop.peers[i].value() + 1), pop.hostnames[i],
-                          pop.cpu[i], pop.price[i],
+        index.upsert_peer(pop.peers[i], pop.cpu[i], pop.price[i],
                           i < pop.statistics.size() ? &pop.statistics[i] : nullptr, kNow,
                           pop.idle[i], pop.queued[i], pop.transfers[i]);
       }
@@ -316,13 +357,17 @@ int main(int argc, char** argv) {
 
       const int index_reps = n >= 1'000'000 ? 50 : (n >= 100'000 ? 150 : 300);
       const int scan_reps = n >= 1'000'000 ? 3 : (n >= 100'000 ? 20 : 100);
-      for (int m = 0; m < kModels; ++m) {
-        const Measurement res = measure_model(index, *models[m], snaps,
-                                              options.base_seed + m, index_reps, scan_reps);
-        per_model[flavor][m].push_back(res);
-        table.add_row({std::to_string(n), flavor_names[flavor], model_names[m],
-                       cell(res.index_us, 2), cell(res.scan_us, 1),
-                       cell(res.scan_us / res.index_us, 1), cell(res.pulls_per_petition, 1)});
+      for (const int variant : {flavor, kFlavors + flavor}) {
+        const bool defended = variant >= kFlavors;
+        for (int m = defended ? 1 : 0; m < kModels; ++m) {
+          const Measurement res =
+              measure_model(index, *models[m], snaps, defended ? &pop.quarantined : nullptr,
+                            options.base_seed + m, index_reps, scan_reps);
+          per_model[variant][m].push_back(res);
+          table.add_row({std::to_string(n), variant_names[variant], model_names[m],
+                         cell(res.index_us, 2), cell(res.scan_us, 1),
+                         cell(res.scan_us / res.index_us, 1), cell(res.pulls_per_petition, 1)});
+        }
       }
     }
   }
@@ -330,10 +375,10 @@ int main(int argc, char** argv) {
   table.write_csv("bench_scale.csv");
 
   bool ok = true;
-  for (int flavor = 0; flavor < kFlavors; ++flavor) {
+  for (int variant = 0; variant < kVariants; ++variant) {
     for (int m = 0; m < kModels; ++m) {
-      const auto& rows = per_model[flavor][m];
-      const std::string tag = std::string(model_names[m]) + " (" + flavor_names[flavor] + ")";
+      const auto& rows = per_model[variant][m];
+      const std::string tag = std::string(model_names[m]) + " (" + variant_names[variant] + ")";
       for (std::size_t a = 0; a < rows.size(); ++a) {
         ok &= shape_check(tag + " @" + std::to_string(arms[a]) +
                               ": every petition stays on the fast path",
@@ -347,7 +392,7 @@ int main(int argc, char** argv) {
       // the O(n) dense sweep, so the growth check applies only where a
       // bounded-pull fast path exists: everywhere on the correlated
       // registry, and to the never-walking models on the uniform one.
-      const bool walks_uniform = flavor == 1 && (m == 1 || m == 4);
+      const bool walks_uniform = variant % kFlavors == 1 && (m == 1 || m == 4);
       if (rows.size() >= 2 && !walks_uniform) {
         const double growth = static_cast<double>(arms.back()) / static_cast<double>(arms[0]);
         const double latency_ratio = rows.back().index_us / rows[0].index_us;

@@ -57,6 +57,33 @@ double offline_time(double last_seen, double thr) {
 /// Min-heap ordering for the lazy heaps.
 bool heap_cmp(double a, double b) { return a > b; }
 
+/// Monotone mirrors of the economic estimators' accumulation order
+/// (estimate_service_time, estimate_cost) over explicit attribute
+/// values. At one peer's cached keys they ARE its scan values
+/// (compute_keys mirrors the estimators' fallbacks exactly), so walks
+/// never touch the estimators or the history maps; at per-attribute
+/// frontier values they are exact bounds, no margins.
+Seconds service_chain(const SelectionContext& c, double speed, double rate, double resp) {
+  Seconds service = 0.0;
+  if (c.work > 0.0) service += c.work / std::max(speed, 1e-6);
+  if (c.payload_size > 0) service += wire_time(c.payload_size, rate);
+  service += resp;
+  return service;
+}
+
+double cost_chain(const SelectionContext& c, double price, double cpu, double rate, double resp) {
+  const Seconds cpu_time =
+      c.work > 0.0 ? c.work / std::max(cpu, 1e-6) : service_chain(c, 0.0, rate, resp);
+  return price * cpu_time;
+}
+
+/// The scan's ranking order (append_ranked): ascending cost, then peer.
+template <typename S>
+bool ranks_before(const S& a, const S& b) {
+  if (a.value != b.value) return a.value < b.value;
+  return a.peer < b.peer;
+}
+
 }  // namespace
 
 CandidateIndex::CandidateIndex(Config config) : config_(config) {}
@@ -108,19 +135,14 @@ CandidateIndex::Slot* CandidateIndex::find_slot(PeerId peer) {
   return it == slot_of_.end() ? nullptr : &slots_[it->second];
 }
 
-void CandidateIndex::upsert_peer(PeerId peer, NodeId node, const std::string& hostname,
-                                 GigaHertz cpu_ghz, double price_per_cpu_second,
+void CandidateIndex::upsert_peer(PeerId peer, GigaHertz cpu_ghz, double price_per_cpu_second,
                                  const stats::PeerStatistics* statistics, Seconds last_seen,
                                  bool idle, int queued_tasks, int active_transfers) {
   const auto [it, inserted] = slot_of_.try_emplace(peer, static_cast<std::uint32_t>(slots_.size()));
   if (inserted) slots_.emplace_back();
   const std::uint32_t index = it->second;
   Slot& slot = slots_[index];
-  if (inserted) {
-    slot.snap.peer = peer;
-    slot.snap.node = node;
-    slot.snap.hostname = hostname;
-  }
+  slot.snap.peer = peer;
   slot.snap.history = history_;
   slot.snap.cpu_ghz = cpu_ghz;
   slot.snap.price_per_cpu_second = price_per_cpu_second;
@@ -390,61 +412,42 @@ bool CandidateIndex::eligible(const Slot& slot, bool idle_gate) const noexcept {
   return true;
 }
 
+double CandidateIndex::penalty(const Slot& slot) const {
+  if (weight_ == 0.0) return 0.0;
+  return weight_ * (1.0 - (reputation_ ? reputation_(slot.snap.peer) : 1.0));
+}
+
+void CandidateIndex::keep(const Scored& scored, std::size_t k) {
+  const auto cmp = [](const Scored& a, const Scored& b) { return ranks_before(a, b); };
+  if (best_heap_.size() < k) {
+    best_heap_.push_back(scored);
+    std::push_heap(best_heap_.begin(), best_heap_.end(), cmp);
+  } else if (ranks_before(scored, best_heap_.front())) {
+    std::pop_heap(best_heap_.begin(), best_heap_.end(), cmp);
+    best_heap_.back() = scored;
+    std::push_heap(best_heap_.begin(), best_heap_.end(), cmp);
+  }
+}
+
 template <typename ValueOf, typename BoundOf>
 double CandidateIndex::extremum(std::vector<Cursor>& cursors, bool want_max, bool idle_gate,
                                 ValueOf value_of, BoundOf bound_of, std::size_t budget,
                                 bool& blown) {
-  ++walk_epoch_;
-  double best = want_max ? -kInf : kInf;
-  bool have = false;
-  std::size_t walked = 0;
-  for (;;) {
-    bool enumerated_all = false;
-    for (auto& cursor : cursors) {
-      if (cursor.exhausted()) {
-        enumerated_all = true;
-        continue;
-      }
-      const auto entry = cursor.step();
-      ++pulls_;
-      ++walked;
-      if (cursor.exhausted()) enumerated_all = true;
-      Slot& slot = slots_[slot_of_.find(entry.peer)->second];
-      if (slot.visited == walk_epoch_) continue;
-      slot.visited = walk_epoch_;
-      if (!eligible(slot, idle_gate)) continue;
-      const double v = value_of(slot);
-      if (!have || (want_max ? v > best : v < best)) {
-        best = v;
-        have = true;
-      }
-    }
-    if (enumerated_all) break;
-    if (have) {
-      const double bound = bound_of();
-      if (want_max ? best >= bound : best <= bound) break;
-    }
-    if (walked > budget) {
-      // Degenerate distribution: the frontier is stuck in tied runs and
-      // the bound cannot converge. Abandon the walk; the caller redoes
-      // this extremum with a dense sweep.
-      blown = true;
-      return best;
-    }
-  }
-  return best;
+  // A top-1 walk; negation is exact, so a max is the negated min of
+  // the negated values. The largest peer id makes the bound pair stop
+  // on a value tie, since only the value is wanted.
+  const double sign = want_max ? -1.0 : 1.0;
+  top_k(
+      cursors, 1, idle_gate, [&](const Slot& s) { return sign * value_of(s); },
+      [&]() { return Scored{0, sign * bound_of(), PeerId(~std::uint64_t{0})}; }, budget, blown);
+  return best_heap_.empty() ? sign * kInf : sign * best_heap_.front().value;
 }
 
 template <typename ValueOf, typename BoundOf>
 void CandidateIndex::top_k(std::vector<Cursor>& cursors, std::size_t k, bool idle_gate,
                            ValueOf value_of, BoundOf bound_of, std::size_t budget, bool& blown) {
   ++walk_epoch_;
-  scored_.clear();
   best_heap_.clear();
-  const auto better = [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.peer < b.peer;
-  };
   std::size_t walked = 0;
   for (;;) {
     bool enumerated_all = false;
@@ -463,21 +466,14 @@ void CandidateIndex::top_k(std::vector<Cursor>& cursors, std::size_t k, bool idl
       if (!eligible(slot, idle_gate)) continue;
       const std::uint32_t slot_index =
           static_cast<std::uint32_t>(&slot - slots_.data());
-      const Scored scored{slot_index, value_of(slot), entry.peer};
-      scored_.push_back(scored);
-      if (best_heap_.size() < k) {
-        best_heap_.push_back(scored);
-        std::push_heap(best_heap_.begin(), best_heap_.end(), better);
-      } else if (better(scored, best_heap_.front())) {
-        std::pop_heap(best_heap_.begin(), best_heap_.end(), better);
-        best_heap_.back() = scored;
-        std::push_heap(best_heap_.begin(), best_heap_.end(), better);
-      }
+      keep(Scored{slot_index, value_of(slot), entry.peer}, k);
     }
     if (enumerated_all) return;
-    // Strictly better: a tie at the bound could still be beaten on the
-    // peer-id tiebreak by an unseen peer, so keep pulling through ties.
-    if (best_heap_.size() >= k && best_heap_.front().value < bound_of()) return;
+    // Every unseen peer ranks strictly after the bound pair, so a k-th
+    // best at or before it is final. Multi-criterion bounds carry the
+    // invalid peer id (before every peer): a value tie at the bound
+    // could still lose the peer-id tiebreak, so those keep pulling.
+    if (best_heap_.size() >= k && !ranks_before(bound_of(), best_heap_.front())) return;
     if (walked > budget) {
       blown = true;
       return;
@@ -489,41 +485,24 @@ template <typename ValueOf>
 void CandidateIndex::dense_top_k(std::size_t k, bool idle_gate, ValueOf value_of) {
   ++dense_sweeps_;
   if (m_.dense_sweeps != nullptr) m_.dense_sweeps->add(1);
-  scored_.clear();
   best_heap_.clear();
-  const auto better = [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.peer < b.peer;
-  };
   for (const Slot& slot : slots_) {
     if (!slot.in_trees || !eligible(slot, idle_gate)) continue;
     ++pulls_;
     const std::uint32_t slot_index =
         static_cast<std::uint32_t>(&slot - slots_.data());
-    const Scored scored{slot_index, value_of(slot), slot.snap.peer};
-    if (best_heap_.size() < k) {
-      best_heap_.push_back(scored);
-      std::push_heap(best_heap_.begin(), best_heap_.end(), better);
-    } else if (better(scored, best_heap_.front())) {
-      std::pop_heap(best_heap_.begin(), best_heap_.end(), better);
-      best_heap_.back() = scored;
-      std::push_heap(best_heap_.begin(), best_heap_.end(), better);
-    }
+    keep(Scored{slot_index, value_of(slot), slot.snap.peer}, k);
   }
-  scored_ = best_heap_;
 }
 
-void CandidateIndex::emit_scored(std::size_t k, std::vector<PeerId>& out) {
+void CandidateIndex::emit_scored(std::vector<PeerId>& out) {
   // Mirrors append_ranked: std::sort by (cost, peer); entries are
   // distinct peers, so the permutation is unique.
-  std::sort(scored_.begin(), scored_.end(), [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.peer < b.peer;
-  });
-  const std::size_t n = std::min(k, scored_.size());
+  std::sort(best_heap_.begin(), best_heap_.end(),
+            [](const Scored& a, const Scored& b) { return ranks_before(a, b); });
   out.clear();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(scored_[i].peer);
+  out.reserve(best_heap_.size());
+  for (const Scored& scored : best_heap_) out.push_back(scored.peer);
 }
 
 // ---- per-model fast paths ---------------------------------------------
@@ -542,18 +521,25 @@ void CandidateIndex::select_blind(const SelectionContext& context, std::size_t k
   }
 }
 
-void CandidateIndex::select_static_tree(const RankedTree& tree, const SelectionContext& context,
-                                        std::size_t k, std::vector<PeerId>& out) {
-  (void)context;
+void CandidateIndex::select_tree(const RankedTree& tree, double Slot::*key, double scale,
+                                 std::size_t k, std::vector<PeerId>& out) {
   out.clear();
-  const std::size_t n = tree.size();
-  for (std::size_t i = 0; i < n && out.size() < k; ++i) {
-    const auto entry = tree.kth(i);
-    ++pulls_;
-    const Slot& slot = slots_[slot_of_.find(entry.peer)->second];
-    if (slot.excluded == select_epoch_) continue;
-    out.push_back(entry.peer);
-  }
+  const std::size_t n_el = ids_.size() - excl_online_;
+  const std::size_t n_needed = std::min(k, n_el);
+  if (n_needed == 0) return;
+  // The tree is ordered by (key, peer) — the scan's own order — and a
+  // penalty only raises a cost, so every peer past the frontier entry
+  // ranks strictly after it: the frontier pair itself is the bound. At
+  // weight 0 that stops the walk on the k-th non-excluded entry.
+  cursors_.clear();
+  cursors_.push_back(Cursor{&tree, false, 0, 0.0, PeerId{}});
+  const Cursor& cursor = cursors_.front();
+  const auto value_of = [&](const Slot& s) { return s.*key + penalty(s) * scale; };
+  const auto bound_of = [&]() { return Scored{0, cursor.frontier, cursor.frontier_peer}; };
+  bool blown = false;
+  top_k(cursors_, n_needed, /*idle_gate=*/false, value_of, bound_of, pull_budget(n_el), blown);
+  if (blown) dense_top_k(n_needed, /*idle_gate=*/false, value_of);
+  emit_scored(out);
 }
 
 void CandidateIndex::select_economic(const SelectionContext& context, std::size_t k,
@@ -564,37 +550,20 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
   const bool idle_gate = cfg.prefer_idle && any_idle;
   const std::size_t n_el =
       idle_gate ? online_idle_ - excl_idle_ : ids_.size() - excl_online_;
-  if (n_el == 0) return;  // scan: no offers → empty ranking
   const std::size_t n_needed = std::min(k, n_el);
+  if (n_needed == 0) return;  // scan: no offers (or k = 0) → empty answer
 
   const bool has_work = context.work > 0.0;
   const bool has_payload = context.payload_size > 0;
 
-  // Monotone mirrors of the scan's accumulation order, evaluated at
-  // per-attribute frontier values — exact bounds, no margins.
-  const auto service_chain = [&](double speed, double rate, double resp) {
-    Seconds service = 0.0;
-    if (context.work > 0.0) service += context.work / std::max(speed, 1e-6);
-    if (context.payload_size > 0) service += wire_time(context.payload_size, rate);
-    service += resp;
-    return service;
-  };
   const auto completion_chain = [&](double ready, double speed, double rate, double resp) {
-    return ready + service_chain(speed, rate, resp);
+    return ready + service_chain(context, speed, rate, resp);
   };
-  const auto cost_chain = [&](double price, double cpu, double rate, double resp) {
-    const Seconds cpu_time = context.work > 0.0 ? context.work / std::max(cpu, 1e-6)
-                                                : service_chain(0.0, rate, resp);
-    return price * cpu_time;
-  };
-  // The chains evaluated at one peer's cached keys ARE its scan values
-  // (compute_keys mirrors the estimators' fallbacks exactly), so per-
-  // peer evaluation never touches the estimators or the history maps.
   const auto completion_of = [&](const Slot& s) {
     return completion_chain(s.key_base, s.key_speed, s.key_rate, s.key_resp);
   };
   const auto cost_of = [&](const Slot& s) {
-    return cost_chain(s.key_price, s.key_cpu, s.key_rate, s.key_resp);
+    return cost_chain(context, s.key_price, s.key_cpu, s.key_rate, s.key_resp);
   };
 
   int ci_base = -1, ci_speed = -1, ci_rate = -1, ci_resp = -1, ci_price = -1, ci_cpu = -1;
@@ -604,7 +573,7 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
   };
   const auto add = [&](int& index, const RankedTree& tree, bool desc) {
     index = static_cast<int>(cursors_.size());
-    cursors_.push_back(Cursor{&tree, desc, 0, 0.0});
+    cursors_.push_back(Cursor{&tree, desc, 0, 0.0, PeerId{}});
   };
   const auto f = [&](int index) { return cursors_[static_cast<std::size_t>(index)].frontier; };
 
@@ -632,9 +601,8 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
   // With work the rate and resp cursors are absent (cost_chain ignores
   // both then), so only the work-free chain reads them.
   const auto cost_bound = [&]() {
-    return cost_chain(f(ci_price), has_work ? f(ci_cpu) : 0.0,
-                      !has_work && has_payload ? f(ci_rate) : 0.0,
-                      has_work ? 0.0 : f(ci_resp));
+    return cost_chain(context, f(ci_price), has_work ? f(ci_cpu) : 0.0,
+                      !has_work && has_payload ? f(ci_rate) : 0.0, has_work ? 0.0 : f(ci_resp));
   };
 
   const std::size_t budget = pull_budget(n_el);
@@ -680,6 +648,7 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
     const double cnorm = chi > clo ? (cost - clo) / (chi - clo) : 0.0;
     double utility = (cfg.time_weight * tnorm + cfg.cost_weight * cnorm) / wsum;
     utility -= 1e-9 * s.snap.cpu_ghz;
+    utility += penalty(s);
     return utility;
   };
 
@@ -693,14 +662,14 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
   const auto utility_bound = [&]() {
     const double completion = completion_chain(f(ci_base), has_work ? f(ci_speed) : 0.0,
                                                has_payload ? f(ci_rate) : 0.0, f(ci_resp));
-    const double cost = cost_chain(f(ci_price), has_work ? f(ci_cpu) : 0.0,
+    const double cost = cost_chain(context, f(ci_price), has_work ? f(ci_cpu) : 0.0,
                                    has_payload ? f(ci_rate) : 0.0,
                                    has_work ? 0.0 : f(ci_resp));
     const double tnorm = thi > tlo ? (completion - tlo) / (thi - tlo) : 0.0;
     const double cnorm = chi > clo ? (cost - clo) / (chi - clo) : 0.0;
     double utility = (cfg.time_weight * tnorm + cfg.cost_weight * cnorm) / wsum;
     utility -= 1e-9 * f(ci_cpu);
-    return utility;
+    return Scored{0, utility, PeerId{}};  // zero-penalty bound; penalties only add
   };
   bool rank_blown = false;
   if (blown) {
@@ -709,38 +678,25 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
     top_k(cursors_, n_needed, idle_gate, utility_of, utility_bound, budget, rank_blown);
   }
   if (rank_blown) dense_top_k(n_needed, idle_gate, utility_of);
-  emit_scored(n_needed, out);
+  emit_scored(out);
 }
 
 void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t k,
                                    std::vector<PeerId>& out) {
   out.clear();
   const std::size_t n_el = ids_.size() - excl_online_;
-  if (n_el == 0) return;
   const std::size_t n_needed = std::min(k, n_el);
+  if (n_needed == 0) return;
 
   const bool has_work = context.work > 0.0;
   const bool has_payload = context.payload_size > 0;
 
-  const auto service_chain = [&](double speed, double rate, double resp) {
-    Seconds service = 0.0;
-    if (context.work > 0.0) service += context.work / std::max(speed, 1e-6);
-    if (context.payload_size > 0) service += wire_time(context.payload_size, rate);
-    service += resp;
-    return service;
-  };
-  const auto cost_chain = [&](double price, double cpu, double rate, double resp) {
-    const Seconds cpu_time = context.work > 0.0 ? context.work / std::max(cpu, 1e-6)
-                                                : service_chain(0.0, rate, resp);
-    return price * cpu_time;
-  };
   // Mirrors the scan's left-associated ready + service + cost.
   const auto e_chain = [&](double ready, double speed, double rate, double resp, double price,
                            double cpu) {
-    return ready + service_chain(speed, rate, resp) + cost_chain(price, cpu, rate, resp);
+    return ready + service_chain(context, speed, rate, resp) +
+           cost_chain(context, price, cpu, rate, resp);
   };
-  // Per-peer economic term straight off the cached keys; see the
-  // compute_keys exactness note.
   const auto e_of = [&](const Slot& s) {
     return e_chain(s.key_base, s.key_speed, s.key_rate, s.key_resp, s.key_price, s.key_cpu);
   };
@@ -753,7 +709,7 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
   };
   const auto add = [&](int& index, const RankedTree& tree, bool desc) {
     index = static_cast<int>(cursors_.size());
-    cursors_.push_back(Cursor{&tree, desc, 0, 0.0});
+    cursors_.push_back(Cursor{&tree, desc, 0, 0.0, PeerId{}});
   };
   const auto f = [&](int index) { return cursors_[static_cast<std::size_t>(index)].frontier; };
 
@@ -816,7 +772,7 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
     const double v = s.key_eval;  // select-time exact: expiry re-dirties on window decay
     const double en = ehi > elo ? (e - elo) / (ehi - elo) : 0.0;
     const double vn = vhi > vlo ? (v - vlo) / (vhi - vlo) : 0.0;
-    return alpha * en + (1.0 - alpha) * vn;
+    return alpha * en + (1.0 - alpha) * vn + penalty(s);
   };
 
   reset();
@@ -834,7 +790,7 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
     const double v = f(ci_eval);
     const double en = ehi > elo ? (e - elo) / (ehi - elo) : 0.0;
     const double vn = vhi > vlo ? (v - vlo) / (vhi - vlo) : 0.0;
-    return alpha * en + (1.0 - alpha) * vn;
+    return Scored{0, alpha * en + (1.0 - alpha) * vn, PeerId{}};  // zero-penalty bound
   };
   bool rank_blown = false;
   if (blown) {
@@ -843,7 +799,7 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
     top_k(cursors_, n_needed, /*idle_gate=*/false, score_of, score_bound, budget, rank_blown);
   }
   if (rank_blown) dense_top_k(n_needed, /*idle_gate=*/false, score_of);
-  emit_scored(n_needed, out);
+  emit_scored(out);
 }
 
 // ---- entry point -------------------------------------------------------
@@ -851,9 +807,12 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
 bool CandidateIndex::try_select(const SelectionContext& context, Seconds sim_now, std::size_t k,
                                 std::vector<PeerId>& out) {
   if (kind_ == ModelKind::kNone || model_ == nullptr) return refuse();
-  if (context.reputation_weight != 0.0) return refuse();
-  if (context.exclude.size() > config_.max_inline_excludes) return refuse();
-  if (kind_ == ModelKind::kBlind && !context.exclude.empty()) return refuse();
+  // A negative penalty would lower costs below the walks' bounds.
+  if (!(context.reputation_weight >= 0.0)) return refuse();
+  if (kind_ == ModelKind::kBlind &&
+      (!context.exclude.empty() || context.reputation_weight != 0.0)) {
+    return refuse();
+  }
   // Economically-constrained petitions (deadline, budget, or an explicit
   // objective) go through the broker's econ engine, which needs the full
   // model ranking — not just the top-k the threshold walk produces — to
@@ -864,6 +823,7 @@ bool CandidateIndex::try_select(const SelectionContext& context, Seconds sim_now
   drain_expiry(context.now);
   flush_dirty(context, sim_now);
   mark_excludes(context);
+  weight_ = context.reputation_weight;
 
   const std::uint64_t pulls_before = pulls_;
   switch (kind_) {
@@ -871,10 +831,12 @@ bool CandidateIndex::try_select(const SelectionContext& context, Seconds sim_now
       select_blind(context, k, out);
       break;
     case ModelKind::kUserPreference:
-      select_static_tree(t_static_, context, k, out);
+      // The scan scales the penalty by its candidate count (rank-index
+      // costs); the registry is exactly the tracked peers.
+      select_tree(t_static_, &Slot::key_static, static_cast<double>(slots_.size()), k, out);
       break;
     case ModelKind::kEvaluator:
-      select_static_tree(t_eval_, context, k, out);
+      select_tree(t_eval_, &Slot::key_eval, 1.0, k, out);
       break;
     case ModelKind::kEconomic:
       select_economic(context, k, out);

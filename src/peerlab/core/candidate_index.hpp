@@ -22,15 +22,26 @@
 // with per-attribute frontier values, so every unseen peer's true
 // score provably cannot beat the bound, and the walk stops only when
 // the k-th kept score is *strictly* better than the bound (ties force
-// further pulls; a fully-tied registry degrades to a full walk).
+// further pulls; a fully-tied registry degrades to a full walk). A
+// single-tree walk is ordered by (key, peer), the scan's own order, so
+// its frontier entry is an exact (score, peer) bound and ties resolve
+// without extra pulls.
+//
+// Reputation-weighted petitions ride the same walks. The scan adds
+// `reputation_weight * (1 - score)` to each candidate's cost; with a
+// non-negative weight and scores in [0, 1] that penalty is never
+// negative, and round-to-nearest addition is monotone, so every walk
+// keeps its zero-penalty bound and only the exact per-peer value adds
+// the penalty, in the scan's expression order. Scores come from the
+// callable handed to set_reputation(), read at selection time.
 //
 // Refusal (fallback) conditions — see DESIGN.md §15:
 //   * no model bound / unknown model subclass;
-//   * context.reputation_weight != 0 (defended rankings re-order by
-//     penalties the index does not track);
-//   * more than Config::max_inline_excludes excluded peers;
-//   * blind with a non-empty exclude list (the rotation modulus would
-//     change under the index's feet);
+//   * a negative (or NaN) reputation_weight — the walks' bounds assume
+//     the penalty never lowers a cost;
+//   * blind with a non-empty exclude list or a reputation weight (the
+//     rotation modulus / the rotated group would change under the
+//     index's feet);
 //   * any economically-constrained context — deadline, budget, or an
 //     explicit EconObjective (the broker's econ engine needs the full
 //     model ranking for admission, and for kEconomic the feasibility
@@ -41,7 +52,7 @@
 // time is), because windowed statistics evict destructively on read.
 
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -67,9 +78,6 @@ class CandidateIndex {
     /// index agrees with BrokerPeer::online() bit for bit.
     Seconds heartbeat_interval = 30.0;
     double offline_after_missed = 3.5;
-    /// Exclude lists longer than this fall back to the scan (each
-    /// excluded peer costs an O(1) lookup plus skipped pulls).
-    std::size_t max_inline_excludes = 64;
   };
 
   CandidateIndex() : CandidateIndex(Config{}) {}
@@ -84,10 +92,18 @@ class CandidateIndex {
   /// one per index). May be null (models degrade gracefully).
   void set_history(const stats::HistoryStore* history);
 
-  /// Registers or refreshes a peer from a heartbeat / adopted record.
-  void upsert_peer(PeerId peer, NodeId node, const std::string& hostname, GigaHertz cpu_ghz,
-                   double price_per_cpu_second, const stats::PeerStatistics* statistics,
-                   Seconds last_seen, bool idle, int queued_tasks, int active_transfers);
+  /// The reputation score in [0, 1] of a peer at selection time — the
+  /// PeerSnapshot::reputation the scan would see. Unset, every peer
+  /// scores a neutral 1.0.
+  using ReputationFn = std::function<double(PeerId)>;
+  void set_reputation(ReputationFn score) { reputation_ = std::move(score); }
+
+  /// Registers or refreshes a peer from a heartbeat / adopted record:
+  /// the snapshot fields the models rank by (no model reads the node
+  /// or hostname, so the index keeps neither).
+  void upsert_peer(PeerId peer, GigaHertz cpu_ghz, double price_per_cpu_second,
+                   const stats::PeerStatistics* statistics, Seconds last_seen, bool idle,
+                   int queued_tasks, int active_transfers);
 
   /// Points the peer at its (possibly newly-created) statistics record
   /// and schedules a re-key — the broker calls this from
@@ -120,8 +136,6 @@ class CandidateIndex {
   [[nodiscard]] std::uint64_t bound_pulls() const noexcept { return pulls_; }
   [[nodiscard]] std::uint64_t dense_sweeps() const noexcept { return dense_sweeps_; }
   [[nodiscard]] std::uint64_t rebuilds() const noexcept { return rebuilds_; }
-  [[nodiscard]] std::size_t tracked_peers() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::size_t online_peers() const noexcept { return ids_.size(); }
 
  private:
   enum class ModelKind : std::uint8_t {
@@ -182,11 +196,13 @@ class CandidateIndex {
     bool desc = false;
     std::size_t i = 0;
     double frontier = 0.0;
+    PeerId frontier_peer;
     [[nodiscard]] bool exhausted() const { return i >= tree->size(); }
     RankedTree::Entry step() {
       const auto e = desc ? tree->kth(tree->size() - 1 - i) : tree->kth(i);
       ++i;
       frontier = e.key;
+      frontier_peer = e.peer;
       return e;
     }
   };
@@ -212,26 +228,35 @@ class CandidateIndex {
 
   // ---- per-model fast paths ----
   void select_blind(const SelectionContext& context, std::size_t k, std::vector<PeerId>& out);
-  void select_static_tree(const RankedTree& tree, const SelectionContext& context, std::size_t k,
-                          std::vector<PeerId>& out);
+  /// Evaluator / user-preference: a walk over the one tree keyed by
+  /// the model's zero-penalty cost, each peer scored `key + penalty ×
+  /// scale` (scale 1, or the registry size for preference ranks).
+  void select_tree(const RankedTree& tree, double Slot::*key, double scale, std::size_t k,
+                   std::vector<PeerId>& out);
   void select_economic(const SelectionContext& context, std::size_t k, std::vector<PeerId>& out);
   void select_hybrid(const SelectionContext& context, std::size_t k, std::vector<PeerId>& out);
 
   // ---- threshold-walk plumbing ----
   void mark_excludes(const SelectionContext& context);
   [[nodiscard]] bool eligible(const Slot& slot, bool idle_gate) const noexcept;
+  /// The scan's reputation_penalty for `slot`'s peer under the current
+  /// petition's weight: exactly 0.0 at weight 0, never negative.
+  [[nodiscard]] double penalty(const Slot& slot) const;
+  /// Offers `scored` to the k-capped best_heap_ ((value, peer) order).
+  void keep(const Scored& scored, std::size_t k);
   /// Exact min (or max) of `value_of` over eligible indexed peers,
-  /// using `cursors` and the matching monotone `bound_of`. Sets
-  /// `blown` and returns early once the walk pulls more than `budget`
-  /// entries — a degenerate (tie-heavy / uncorrelated) key
-  /// distribution where the threshold bound cannot converge; the
-  /// caller finishes with a dense sweep over the cached keys.
+  /// using `cursors` and the matching monotone value bound `bound_of`:
+  /// a top-1 walk, with top_k()'s budget/blown contract.
   template <typename ValueOf, typename BoundOf>
   double extremum(std::vector<Cursor>& cursors, bool want_max, bool idle_gate, ValueOf value_of,
                   BoundOf bound_of, std::size_t budget, bool& blown);
-  /// Pulls until the k-th best exact (value, peer) pair is strictly
-  /// better than `bound_of`'s frontier bound; leaves every evaluated
-  /// peer in scored_. Same budget/blown contract as extremum().
+  /// Pulls until the k-th best exact (value, peer) pair is no worse
+  /// than `bound_of`'s (value, peer) frontier bound — a pair every
+  /// unseen peer's exact pair ranks strictly after; leaves the k best
+  /// in best_heap_. Sets `blown` and returns early once
+  /// the walk pulls more than `budget` entries — a degenerate
+  /// (tie-heavy / uncorrelated) key distribution where the bound
+  /// cannot converge; the caller finishes with a dense sweep.
   template <typename ValueOf, typename BoundOf>
   void top_k(std::vector<Cursor>& cursors, std::size_t k, bool idle_gate, ValueOf value_of,
              BoundOf bound_of, std::size_t budget, bool& blown);
@@ -241,7 +266,8 @@ class CandidateIndex {
   /// estimator or snapshot work — and exact by exhaustion.
   template <typename ValueOf>
   void dense_top_k(std::size_t k, bool idle_gate, ValueOf value_of);
-  void emit_scored(std::size_t k, std::vector<PeerId>& out);
+  /// Writes best_heap_ to `out`, best first.
+  void emit_scored(std::vector<PeerId>& out);
   /// Per-walk pull budget before a walk abandons threshold bounds.
   [[nodiscard]] std::size_t pull_budget(std::size_t n_eligible) const noexcept {
     return 64 + n_eligible / 16;
@@ -250,6 +276,7 @@ class CandidateIndex {
   Config config_;
   Metrics m_;
   const stats::HistoryStore* history_ = nullptr;
+  ReputationFn reputation_;
 
   SelectionModel* model_ = nullptr;
   ModelKind kind_ = ModelKind::kNone;
@@ -286,11 +313,11 @@ class CandidateIndex {
   std::vector<HeapEntry> expiry_heap_;
 
   // Scratch (reused across selects).
-  std::vector<Scored> scored_;
   std::vector<Scored> best_heap_;
   std::vector<Cursor> cursors_;
   std::uint64_t walk_epoch_ = 0;
   std::uint64_t select_epoch_ = 0;
+  double weight_ = 0.0;          // reputation_weight of the current petition
   std::size_t excl_online_ = 0;  // excluded ∩ online, set by mark_excludes
   std::size_t excl_idle_ = 0;    // excluded ∩ online ∩ idle
 

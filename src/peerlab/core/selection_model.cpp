@@ -26,11 +26,4 @@ void append_ranked(std::span<ScoredPeer> scored, std::vector<PeerId>& out) {
   for (const auto& s : scored) out.push_back(s.peer);
 }
 
-std::vector<PeerId> ranked_by_cost(std::vector<ScoredPeer> scored) {
-  std::vector<PeerId> out;
-  out.reserve(scored.size());
-  append_ranked(scored, out);
-  return out;
-}
-
 }  // namespace peerlab::core

@@ -83,7 +83,4 @@ struct ScoredPeer {
 /// stability adds nothing but an allocation.
 void append_ranked(std::span<ScoredPeer> scored, std::vector<PeerId>& out);
 
-/// Allocating wrapper kept for tests and one-off callers.
-[[nodiscard]] std::vector<PeerId> ranked_by_cost(std::vector<ScoredPeer> scored);
-
 }  // namespace peerlab::core

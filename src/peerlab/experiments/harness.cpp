@@ -49,31 +49,60 @@ std::uint64_t TraceSession::finish() {
   return watchdog_->violations().size();
 }
 
-void merge_metrics(const RunOptions& options, const obs::MetricRegistry& rep_registry,
-                   const std::string& suffix) {
-  if (options.metrics == nullptr) return;
-  static std::mutex mutex;
-  const std::lock_guard<std::mutex> lock(mutex);
+namespace {
+
+thread_local detail::MetricStage* t_stage = nullptr;
+
+void fold(obs::MetricRegistry& into, const obs::MetricRegistry& from, const std::string& suffix) {
   if (suffix.empty()) {
-    options.metrics->merge(rep_registry);
+    into.merge(from);
     return;
   }
-  for (const auto& entry : rep_registry.entries()) {
+  for (const auto& entry : from.entries()) {
     const std::string name = entry.name + suffix;
     switch (entry.kind) {
       case obs::InstrumentKind::kCounter:
-        options.metrics->counter(name, entry.unit).merge(*entry.counter);
+        into.counter(name, entry.unit).merge(*entry.counter);
         break;
       case obs::InstrumentKind::kGauge:
-        options.metrics->gauge(name, entry.unit).merge(*entry.gauge);
+        into.gauge(name, entry.unit).merge(*entry.gauge);
         break;
       case obs::InstrumentKind::kHistogram:
-        options.metrics->histogram(name, entry.unit, entry.histogram->options())
-            .merge(*entry.histogram);
+        into.histogram(name, entry.unit, entry.histogram->options()).merge(*entry.histogram);
         break;
     }
   }
 }
+
+}  // namespace
+
+void merge_metrics(const RunOptions& options, const obs::MetricRegistry& rep_registry,
+                   const std::string& suffix) {
+  if (options.metrics == nullptr) return;
+  if (t_stage != nullptr) {
+    // A copy folded into an empty registry is exact (0 + x == x), so
+    // replaying it later adds the very values a direct fold would.
+    t_stage->push_back(std::make_unique<obs::MetricRegistry>());
+    fold(*t_stage->back(), rep_registry, suffix);
+    return;
+  }
+  static std::mutex mutex;
+  const std::lock_guard<std::mutex> lock(mutex);
+  fold(*options.metrics, rep_registry, suffix);
+}
+
+namespace detail {
+
+void route_metrics(MetricStage* stage) noexcept { t_stage = stage; }
+
+void fold_metric_stages(const RunOptions& options, std::vector<MetricStage>& stages) {
+  for (auto& stage : stages) {
+    for (const auto& registry : stage) merge_metrics(options, *registry);
+    stage.clear();
+  }
+}
+
+}  // namespace detail
 
 sim::Summary summarize(const std::vector<double>& samples) {
   sim::Summary summary;

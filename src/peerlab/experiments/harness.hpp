@@ -95,13 +95,25 @@ class TraceSession {
   bool finished_ = false;
 };
 
-/// Folds one repetition's registry into options.metrics — thread-safe
-/// across concurrent repetitions, a no-op when metrics is null. A
-/// non-empty `suffix` (e.g. ".economic") is appended to every
-/// instrument name, giving per-variant series from per-world
-/// registries that all use the generic names.
+/// Folds one repetition's registry into options.metrics, a no-op when
+/// metrics is null. A non-empty `suffix` (e.g. ".economic") is appended
+/// to every instrument name, giving per-variant series from per-world
+/// registries that all use the generic names. Inside
+/// run_repetitions() the fold is staged and replayed in repetition
+/// order once every repetition is done, so parallel runs export the
+/// same bytes as serial ones (histogram sums are order-sensitive).
 void merge_metrics(const RunOptions& options, const obs::MetricRegistry& rep_registry,
                    const std::string& suffix = "");
+
+namespace detail {
+/// One repetition's staged merge_metrics calls, in call order.
+using MetricStage = std::vector<std::unique_ptr<obs::MetricRegistry>>;
+/// Routes this thread's merge_metrics calls into `stage` (null: merge
+/// directly).
+void route_metrics(MetricStage* stage) noexcept;
+/// Replays every stage into options.metrics, repetition by repetition.
+void fold_metric_stages(const RunOptions& options, std::vector<MetricStage>& stages);
+}  // namespace detail
 
 /// Runs `body(seed, rep)` once per repetition across a thread pool and
 /// returns the results ordered by repetition index. `Result` must be
@@ -113,6 +125,7 @@ std::vector<Result> run_repetitions(const RunOptions& options,
   PEERLAB_CHECK_MSG(options.repetitions > 0, "need at least one repetition");
   const int reps = options.repetitions;
   std::vector<Result> results(static_cast<std::size_t>(reps));
+  std::vector<detail::MetricStage> stages(static_cast<std::size_t>(reps));
 
   unsigned threads = options.threads;
   if (threads == 0) {
@@ -121,13 +134,9 @@ std::vector<Result> run_repetitions(const RunOptions& options,
   }
   threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(reps)));
 
-  if (threads == 1) {
-    for (int rep = 0; rep < reps; ++rep) {
-      results[static_cast<std::size_t>(rep)] = body(repetition_seed(options, rep), rep);
-    }
-    return results;
-  }
-
+  // Workers are fresh threads, so a worker's metrics route needs no
+  // restoring; the caller's thread (possibly another run's worker)
+  // folds the stages.
   std::atomic<int> next{0};
   std::vector<std::thread> pool;
   pool.reserve(threads);
@@ -138,6 +147,7 @@ std::vector<Result> run_repetitions(const RunOptions& options,
         while (true) {
           const int rep = next.fetch_add(1);
           if (rep >= reps) break;
+          detail::route_metrics(&stages[static_cast<std::size_t>(rep)]);
           results[static_cast<std::size_t>(rep)] = body(repetition_seed(options, rep), rep);
         }
       } catch (...) {
@@ -149,6 +159,7 @@ std::vector<Result> run_repetitions(const RunOptions& options,
   for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
+  detail::fold_metric_stages(options, stages);
   return results;
 }
 

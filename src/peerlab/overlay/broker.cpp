@@ -12,6 +12,12 @@ namespace peerlab::overlay {
 
 using obs::trace::TraceKind;
 
+namespace {
+/// Every Nth traced index-served selection is re-ranked by the scan
+/// (see audit_index_selection).
+constexpr std::uint64_t kSelectionAuditPeriod = 16;
+}  // namespace
+
 BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
                        OverlayDirectories& directories, BrokerConfig config)
     : endpoint_(fabric.attach(node)),
@@ -26,19 +32,16 @@ BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
       econ_(config.econ),
       model_(std::make_unique<core::BlindModel>()),
       index_(core::CandidateIndex::Config{config.heartbeat_interval,
-                                          config.offline_after_missed,
-                                          /*max_inline_excludes=*/64}),
+                                          config.offline_after_missed}),
       select_channel_(endpoint_, transport::MessageType::kSelectRequest,
                       transport::MessageType::kSelectResponse) {
   PEERLAB_CHECK_MSG(config_.heartbeat_interval > 0.0, "heartbeat interval must be positive");
-  // The index only serves undefended rankings: reputation penalties and
-  // quarantine excludes re-order candidates petition by petition, so a
-  // defended broker keeps the plain scan (and pays zero index upkeep).
-  index_active_ = config_.selection_index && !config_.reputation.enabled;
-  if (index_active_) {
-    index_.set_history(&history_);
-    history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
-    index_.bind_model(model_.get());
+  index_.set_history(&history_);
+  history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
+  index_.bind_model(model_.get());
+  if (config_.reputation.enabled) {
+    // The same score snapshot_group() would stamp on each candidate.
+    index_.set_reputation([this](PeerId peer) { return reputation_.score(peer, sim().now()); });
   }
   directories_.rendezvous.enroll(node_, rendezvous_);
   directories_.groups.enroll(node_, groups_);
@@ -65,7 +68,7 @@ stats::PeerStatistics& BrokerPeer::statistics_for(PeerId peer) {
   }
   // Every statistics mutation funnels through here; telling the index
   // keeps its cached evaluator keys coherent (O(1), re-key is lazy).
-  if (index_active_) index_.note_statistics(peer, &it->second);
+  index_.note_statistics(peer, &it->second);
   return it->second;
 }
 
@@ -96,7 +99,7 @@ bool BrokerPeer::online(PeerId peer) const {
 void BrokerPeer::set_selection_model(std::unique_ptr<core::SelectionModel> model) {
   PEERLAB_CHECK_MSG(model != nullptr, "selection model must not be null");
   model_ = std::move(model);
-  if (index_active_) index_.bind_model(model_.get());
+  index_.bind_model(model_.get());
 }
 
 std::vector<core::PeerSnapshot> BrokerPeer::snapshot_group() const {
@@ -130,33 +133,45 @@ std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& conte
                                              std::size_t k) {
   const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
   const bool traced = trace_ != nullptr && context.trace.active();
-  if (econ_.applies(context)) return econ_select(context, k);
-  if (index_active_ && index_.try_select(context, sim().now(), k, index_out_)) {
-    if (traced) {
-      trace_->emit(node_, TraceKind::kIndexPull, context.trace, k, index_out_.size());
-      audit_index_selection(context, k, index_out_);
-    }
-    return index_out_;
-  }
-  const auto snapshots = snapshot_group();
   core::SelectionContext effective = context;
-  std::vector<PeerId> selected;
-  rank_defended(snapshots, effective, selected);
-  if (selected.size() > k) selected.resize(k);
-  if (traced) {
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                 selected.size());
+  std::vector<core::PeerSnapshot> snapshots;
+  std::vector<PeerId> ranking;
+  const bool indexed = rank_defended(effective, k, snapshots, ranking);
+  if (econ_.applies(context)) {
+    // The index refuses constrained petitions, so `ranking` is the
+    // scan's full ranking over `snapshots` — what admission needs.
+    const auto verdict = econ_.admit_and_rank(snapshots, effective, ranking);
+    if (ranking.size() > k) ranking.resize(k);
+    // Optimistic backlog: the answered peers are about to receive work
+    // the next heartbeat cannot know about yet. Hint the engine so a
+    // burst of constrained petitions spreads instead of piling onto the
+    // one peer whose stale snapshot still looks idle.
+    for (const PeerId peer : ranking) econ_.note_assignment(peer, sim().now());
+    if (traced) {
+      trace_->emit(node_, TraceKind::kEconRank, context.trace, verdict.feasible,
+                   verdict.exhausted ? 0 : verdict.appraised);
+    }
   }
-  return selected;
+  if (ranking.size() > k) ranking.resize(k);
+  if (traced && indexed) {
+    trace_->emit(node_, TraceKind::kIndexPull, context.trace, k, ranking.size());
+    audit_index_selection(effective, k, ranking);
+  } else if (traced) {
+    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(), ranking.size());
+  }
+  return ranking;
 }
 
-void BrokerPeer::rank_defended(std::span<const core::PeerSnapshot> snapshots,
-                               core::SelectionContext& effective,
+bool BrokerPeer::rank_defended(core::SelectionContext& effective, std::size_t k,
+                               std::vector<core::PeerSnapshot>& snapshots,
                                std::vector<PeerId>& ranking) {
-  if (!config_.reputation.enabled) {
+  const auto rank = [&]() {
+    if (index_.try_select(effective, sim().now(), k, ranking)) return true;
+    if (snapshots.empty()) snapshots = snapshot_group();
     model_->rank_into(snapshots, effective, ranking);
-    return;
-  }
+    return false;
+  };
+  if (!config_.reputation.enabled) return rank();
   effective.reputation_weight = config_.reputation.rank_penalty_weight;
   const std::size_t base_excludes = effective.exclude.size();
   reputation_.append_quarantined(sim().now(), effective.exclude);
@@ -164,54 +179,24 @@ void BrokerPeer::rank_defended(std::span<const core::PeerSnapshot> snapshots,
   if (trace_ != nullptr && effective.trace.active() && quarantined > 0) {
     trace_->emit(node_, TraceKind::kReputationExclude, effective.trace, quarantined, 0);
   }
-  model_->rank_into(snapshots, effective, ranking);
-  if (ranking.empty() && quarantined > 0) {
-    // Graceful degradation: a quarantine that empties the candidate set
-    // is lifted for this decision — a distrusted peer beats none.
-    effective.exclude.resize(base_excludes);
-    model_->rank_into(snapshots, effective, ranking);
-  }
+  const bool indexed = rank();
+  if (!ranking.empty() || quarantined == 0) return indexed;
+  // Graceful degradation: a quarantine that empties the candidate set
+  // is lifted for this decision — a distrusted peer beats none.
+  effective.exclude.resize(base_excludes);
+  return rank();
 }
 
-std::vector<PeerId> BrokerPeer::econ_select(const core::SelectionContext& context,
-                                            std::size_t k) {
-  // Economically-constrained petitions never take the index fast path:
-  // admission needs the model's *full* ranking (the index's threshold
-  // walk stops at k), and the index refuses these contexts anyway. The
-  // reputation overlay is the plain scan path's, so a defended broker
-  // defends constrained petitions too.
-  const bool traced = trace_ != nullptr && context.trace.active();
-  const auto snapshots = snapshot_group();
-  core::SelectionContext effective = context;
-  std::vector<PeerId> ranking;
-  rank_defended(snapshots, effective, ranking);
-  const auto verdict = econ_.admit_and_rank(snapshots, effective, ranking);
-  if (ranking.size() > k) ranking.resize(k);
-  // Optimistic backlog: the answered peers are about to receive work
-  // the next heartbeat cannot know about yet. Hint the engine so a
-  // burst of constrained petitions spreads instead of piling onto the
-  // one peer whose stale snapshot still looks idle.
-  for (const PeerId peer : ranking) econ_.note_assignment(peer, sim().now());
-  if (traced) {
-    trace_->emit(node_, TraceKind::kEconRank, context.trace, verdict.feasible,
-                 verdict.exhausted ? 0 : verdict.appraised);
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                 ranking.size());
-  }
-  return ranking;
-}
-
-void BrokerPeer::audit_index_selection(const core::SelectionContext& context, std::size_t k,
+void BrokerPeer::audit_index_selection(const core::SelectionContext& effective, std::size_t k,
                                        const std::vector<PeerId>& picked) {
-  if (config_.selection_audit_period == 0) return;
   // The blind model's shared rotation cursor advances on every ranking;
   // re-running the scan would perturb the very selections under audit.
   // Blind index/scan equivalence is pinned by the differential harness
-  // instead (tests/candidate_index_test.cpp).
+  // instead (tests/core/selection_index_property_test.cpp).
   if (model_->name() == "blind") return;
-  if (++audit_clock_ % config_.selection_audit_period != 0) return;
-  const auto scanned = model_->select_k(snapshot_group(), context, k);
-  trace_->emit(node_, TraceKind::kIndexAudit, context.trace, k, scanned == picked ? 1 : 0);
+  if (++audit_clock_ % kSelectionAuditPeriod != 0) return;
+  const auto scanned = model_->select_k(snapshot_group(), effective, k);
+  trace_->emit(node_, TraceKind::kIndexAudit, effective.trace, k, scanned == picked ? 1 : 0);
 }
 
 void BrokerPeer::attach_metrics(obs::MetricRegistry& registry, obs::WallProfiler* profiler) {
@@ -311,7 +296,7 @@ void BrokerPeer::apply_replicated(const StatsDelta& delta) {
 
 void BrokerPeer::begin_session() {
   for (auto& [peer, s] : statistics_) s.begin_session();
-  if (index_active_) index_.mark_all_dirty();
+  index_.mark_all_dirty();
 }
 
 BrokerPeer::ReplicatedState BrokerPeer::export_state() const {
@@ -329,7 +314,7 @@ void BrokerPeer::adopt_state(ReplicatedState state) {
   // HistoryStore assignment moves data only — this broker's mutation
   // observer stays installed — but every cached statistics pointer and
   // key is now stale: rebuild the index from the adopted registry.
-  if (index_active_) rebuild_index();
+  rebuild_index();
 }
 
 void BrokerPeer::rebuild_index() {
@@ -337,15 +322,14 @@ void BrokerPeer::rebuild_index() {
   index_.set_history(&history_);
   history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
   index_.bind_model(model_.get());
-  const auto& topology = endpoint_.fabric().network().topology();
-  for (const auto& [peer, record] : clients_) {
-    const auto& profile = topology.node(record.node).profile();
-    const auto stats_it = statistics_.find(peer);
-    index_.upsert_peer(peer, record.node, profile.hostname, profile.cpu_ghz,
-                       profile.price_per_cpu_second,
-                       stats_it == statistics_.end() ? nullptr : &stats_it->second,
-                       record.last_seen, record.idle, record.backlog, record.pending_transfers);
-  }
+  for (const auto& [peer, record] : clients_) index_client(record);
+}
+
+void BrokerPeer::index_client(const ClientRecord& record) {
+  const auto& profile = endpoint_.fabric().network().topology().node(record.node).profile();
+  index_.upsert_peer(record.peer, profile.cpu_ghz, profile.price_per_cpu_second,
+                     find_statistics(record.peer), record.last_seen, record.idle, record.backlog,
+                     record.pending_transfers);
 }
 
 void BrokerPeer::on_heartbeat(const transport::Message& m) {
@@ -365,15 +349,7 @@ void BrokerPeer::on_heartbeat(const transport::Message& m) {
   record.backlog = static_cast<int>(m.seq);
   record.pending_transfers = static_cast<int>(m.arg / 2);
   record.idle = (m.arg % 2) == 1;
-  if (index_active_) {
-    const auto& profile =
-        endpoint_.fabric().network().topology().node(record.node).profile();
-    const auto stats_it = statistics_.find(peer);
-    index_.upsert_peer(peer, record.node, profile.hostname, profile.cpu_ghz,
-                       profile.price_per_cpu_second,
-                       stats_it == statistics_.end() ? nullptr : &stats_it->second,
-                       record.last_seen, record.idle, record.backlog, record.pending_transfers);
-  }
+  index_client(record);
 }
 
 void BrokerPeer::on_stats_report(const transport::Message& m) {

@@ -41,19 +41,6 @@ struct BrokerConfig {
   /// objective — selection is bit-identical to a build without the
   /// subsystem). See econ/economy.hpp and DESIGN.md §17.
   econ::EconConfig econ;
-  /// O(log n) top-k candidate indexes for the selection fast path
-  /// (DESIGN.md §15). Selections stay bit-identical to the scan; the
-  /// index deactivates itself while reputation defenses are enabled
-  /// (penalties re-order rankings petition by petition).
-  bool selection_index = true;
-  /// Online index-vs-scan audit: every Nth traced index-served
-  /// selection is re-ranked by the fallback scan and compared, with
-  /// the verdict emitted as a kIndexAudit trace event the watchdog
-  /// checks. Only runs when a trace recorder is attached AND the
-  /// request carries an active context AND the model is stateless
-  /// (the blind model's rotation cursor would be perturbed by the
-  /// second ranking), so detached runs are byte-identical. 0 = off.
-  std::uint32_t selection_audit_period = 16;
 };
 
 class BrokerPeer {
@@ -104,13 +91,13 @@ class BrokerPeer {
   /// Materializes the current view of every registered client.
   [[nodiscard]] std::vector<core::PeerSnapshot> snapshot_group() const;
 
-  /// The selection fast-path index (counters are live even when the
-  /// index is inactive; they just never move).
+  /// The O(log n) candidate index serving selections (DESIGN.md §15),
+  /// defended or not; petitions it refuses fall back to the scan.
   [[nodiscard]] const core::CandidateIndex& candidate_index() const noexcept { return index_; }
-  [[nodiscard]] bool index_active() const noexcept { return index_active_; }
 
   /// Local (zero-latency) selection; the wire path goes through the
-  /// kSelectRequest handler.
+  /// kSelectRequest handler. Economically-constrained petitions (with
+  /// the engine on) are re-ranked by the engine's admission.
   [[nodiscard]] std::vector<PeerId> select_peers(const core::SelectionContext& context,
                                                  std::size_t k);
 
@@ -186,7 +173,11 @@ class BrokerPeer {
 
   /// Attaches (or detaches with nullptr) the causal-trace recorder.
   /// Traced selection requests then emit kSelectServe/kSelectRank/
-  /// kIndexPull (plus sampled kIndexAudit verdicts), traced stats
+  /// kIndexPull plus kIndexAudit verdicts: every 16th index-served
+  /// selection under a non-blind model is re-ranked by the scan with
+  /// the same effective context (detached runs never audit, so they
+  /// stay byte-identical; the blind model's rotation cursor would be
+  /// perturbed by a second ranking). Traced stats
   /// deltas emit kStatsApply, and imposed quarantines land as ambient
   /// kQuarantine events that trigger the flight recorder.
   void attach_trace(obs::trace::TraceRecorder* recorder);
@@ -205,23 +196,22 @@ class BrokerPeer {
   void on_heartbeat(const transport::Message& m);
   void on_stats_report(const transport::Message& m);
   /// Sampled index-vs-scan equivalence check (traced selections only).
-  void audit_index_selection(const core::SelectionContext& context, std::size_t k,
+  void audit_index_selection(const core::SelectionContext& effective, std::size_t k,
                              const std::vector<PeerId>& picked);
   /// Re-registers every client with the index (adopted state).
   void rebuild_index();
-  /// The reputation overlay every scan ranking goes through: with
-  /// defenses on, applies the rank-penalty weight and excludes
-  /// quarantined peers (traced as kReputationExclude), lifting the
-  /// quarantine when it empties the candidate set. Writes the full
-  /// best-first ranking to `ranking`; `effective` ends as the context
-  /// that ranking used.
-  void rank_defended(std::span<const core::PeerSnapshot> snapshots,
-                     core::SelectionContext& effective, std::vector<PeerId>& ranking);
-  /// The economically-constrained selection path: full model ranking
-  /// (reputation overlay included), then engine admission/re-ranking,
-  /// truncated to k. Only reached when econ_.applies(context).
-  [[nodiscard]] std::vector<PeerId> econ_select(const core::SelectionContext& context,
-                                                std::size_t k);
+  /// Registers or refreshes one client in the index.
+  void index_client(const ClientRecord& record);
+  /// The one selection ranking. With defenses on, applies the
+  /// rank-penalty weight and excludes quarantined peers (traced as
+  /// kReputationExclude), lifting the quarantine when it empties the
+  /// candidate set. Each ranking is the index's top k, or — when the
+  /// index refuses the context — the scan's full ranking over
+  /// `snapshots` (materialized on first use). `effective` ends as the
+  /// context the final ranking used; returns true when the index
+  /// served it.
+  bool rank_defended(core::SelectionContext& effective, std::size_t k,
+                     std::vector<core::PeerSnapshot>& snapshots, std::vector<PeerId>& ranking);
   void serve_selection(const transport::Message& m);
   void forward_query(const jxta::AdvertisementQuery& query, std::size_t peer_index,
                      std::shared_ptr<std::vector<jxta::Advertisement>> accumulated,
@@ -243,8 +233,6 @@ class BrokerPeer {
   econ::EconEngine econ_;
   std::unique_ptr<core::SelectionModel> model_;
   core::CandidateIndex index_;
-  bool index_active_ = false;
-  std::vector<PeerId> index_out_;
   transport::ReliableChannel select_channel_;
   obs::trace::TraceRecorder* trace_ = nullptr;
   std::uint64_t audit_clock_ = 0;

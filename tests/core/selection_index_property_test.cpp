@@ -8,11 +8,15 @@
 // statistics mutations, history records, time advances and petitions;
 // after every petition the index's answer must equal the reference
 // ranking of a broker-style snapshot mirror, element for element. 200
-// scenarios per model × 5 models = 1000 scenarios, seeds derived from
-// testing::test_seed() (export PEERLAB_TEST_SEED to replay a failure).
+// scenarios per model × 5 models = 1000 scenarios, plus defended arms
+// for the four index-served defended models: reputation weights 0 and
+// 2.0, per-peer scores drawn to hit exactly 0 and 1 and to tie, and
+// exclude lists longer than 64. Seeds derive from testing::test_seed()
+// (export PEERLAB_TEST_SEED to replay a failure).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <random>
@@ -57,10 +61,10 @@ struct FuzzPeer {
 /// feed hooks BrokerPeer installs, minus the wire.
 class Harness {
  public:
-  Harness()
-      : index_(CandidateIndex::Config{kInterval, kMissed, /*max_inline_excludes=*/64}) {
+  Harness() : index_(CandidateIndex::Config{kInterval, kMissed}) {
     index_.set_history(&history_);
     history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
+    index_.set_reputation([this](PeerId peer) { return score_of(peer); });
   }
 
   void bind(SelectionModel* model) { index_.bind_model(model); }
@@ -80,8 +84,8 @@ class Harness {
     p.queued = static_cast<int>(rng() % 5);
     p.transfers = static_cast<int>(rng() % 3);
     p.last_seen = now_;
-    index_.upsert_peer(p.peer, p.node, p.hostname, p.cpu_ghz, p.price, find_stats(peer),
-                       p.last_seen, p.idle, p.queued, p.transfers);
+    index_.upsert_peer(p.peer, p.cpu_ghz, p.price, find_stats(peer), p.last_seen, p.idle,
+                       p.queued, p.transfers);
   }
 
   void mutate_stats(std::mt19937_64& rng) {
@@ -149,6 +153,17 @@ class Harness {
     }
   }
 
+  /// Re-scores one peer, the way decay and attributed outcomes move a
+  /// broker's reputation book between petitions. Half the draws land
+  /// on a handful of exact values (0, 1, ties); the rest are arbitrary.
+  void rescore(std::mt19937_64& rng) {
+    if (peers_.empty()) return;
+    const PeerId peer = pick_existing(rng);
+    constexpr double kExact[] = {0.0, 1.0, 0.5, 0.25};
+    scores_[peer] = rng() % 2 == 0 ? kExact[rng() % 4]
+                                   : static_cast<double>(rng() % 1'000'001) / 1'000'000.0;
+  }
+
   void advance(std::mt19937_64& rng) {
     // Mostly small steps, occasionally a jump past the liveness
     // threshold (105 s) or the stats window so peers fall offline and
@@ -183,12 +198,14 @@ class Harness {
       snap.active_transfers = p.transfers;
       snap.statistics = find_stats(peer);
       snap.history = &history_;
+      snap.reputation = score_of(peer);
       out.push_back(std::move(snap));
     }
     return out;
   }
 
-  [[nodiscard]] SelectionContext make_context(std::mt19937_64& rng, bool allow_excludes) {
+  [[nodiscard]] SelectionContext make_context(std::mt19937_64& rng, bool allow_excludes,
+                                              bool defended) {
     SelectionContext ctx;
     ctx.now = now_;
     if (rng() % 2 == 0) ctx.work = 0.5 * static_cast<double>(rng() % 40);
@@ -196,6 +213,15 @@ class Harness {
     if (allow_excludes && !peers_.empty() && rng() % 3 == 0) {
       const std::size_t n = rng() % (peers_.size() + 1);
       for (std::size_t i = 0; i < n; ++i) ctx.exclude.push_back(pick_existing(rng));
+    }
+    if (defended) {
+      ctx.reputation_weight = rng() % 4 == 0 ? 0.0 : 2.0;
+      if (rng() % 4 == 0) {
+        // A quarantine-sized list: 65+ entries, mostly peers this
+        // registry never saw, some of them repeated.
+        const std::size_t n = 65 + rng() % 40;
+        for (std::size_t i = 0; i < n; ++i) ctx.exclude.push_back(PeerId(rng() % 200 + 1));
+      }
     }
     return ctx;
   }
@@ -216,6 +242,11 @@ class Harness {
     return it->first;
   }
 
+  [[nodiscard]] double score_of(PeerId peer) const {
+    const auto it = scores_.find(peer);
+    return it == scores_.end() ? 1.0 : it->second;
+  }
+
   const stats::PeerStatistics* find_stats(PeerId peer) const {
     const auto it = statistics_.find(peer);
     return it == statistics_.end() ? nullptr : &it->second;
@@ -232,6 +263,7 @@ class Harness {
 
   std::map<PeerId, FuzzPeer> peers_;
   std::map<PeerId, stats::PeerStatistics> statistics_;
+  std::map<PeerId, double> scores_;
   stats::HistoryStore history_{64};
   CandidateIndex index_;
   Seconds now_ = 1.0;
@@ -251,8 +283,11 @@ std::string describe(std::uint64_t seed, int scenario, int petition,
 /// production model, `make_ref` its frozen reference twin,
 /// `allow_excludes` is off for blind (a non-empty exclude list is a
 /// documented fallback there, exercised in the fallback suite).
+/// `defended` adds reputation weights, re-scoring and long exclude
+/// lists (blind refuses a weight, so it has no defended arm).
 template <typename MakeModel, typename MakeRef>
-void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes) {
+void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
+                   bool defended = false) {
   const std::uint64_t base = testing::test_seed();
   for (int scenario = 0; scenario < kScenariosPerModel; ++scenario) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(scenario) * 7919;
@@ -268,6 +303,7 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes) 
     const int ops = 40 + static_cast<int>(rng() % 40);
     int petition = 0;
     for (int op = 0; op < ops; ++op) {
+      if (defended && rng() % 3 == 0) harness.rescore(rng);
       switch (rng() % 6) {
         case 0:
         case 1:
@@ -283,7 +319,7 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes) 
           harness.advance(rng);
           break;
         default: {
-          const auto ctx = harness.make_context(rng, allow_excludes);
+          const auto ctx = harness.make_context(rng, allow_excludes, defended);
           const std::size_t k = rng() % 5 + 1;
           const auto snaps = harness.snapshots();
           std::vector<PeerId> got;
@@ -376,6 +412,97 @@ TEST(SelectionIndexEquivalence, Hybrid) {
         return std::make_unique<peerlab::testing::ReferenceHybrid>(cfg);
       },
       /*allow_excludes=*/true);
+}
+
+TEST(SelectionIndexEquivalence, EconomicDefended) {
+  run_scenarios(
+      [](std::mt19937_64& rng) {
+        EconomicConfig cfg;
+        cfg.prefer_idle = (rng() % 2) == 0;
+        return std::make_unique<EconomicSchedulingModel>(cfg);
+      },
+      [](std::mt19937_64& rng) {
+        EconomicConfig cfg;
+        cfg.prefer_idle = (rng() % 2) == 0;
+        return std::make_unique<peerlab::testing::ReferenceEconomic>(cfg);
+      },
+      /*allow_excludes=*/true, /*defended=*/true);
+}
+
+TEST(SelectionIndexEquivalence, DataEvaluatorDefended) {
+  run_scenarios(
+      [](std::mt19937_64&) {
+        return std::make_unique<DataEvaluatorModel>(DataEvaluatorModel::same_priority());
+      },
+      [](std::mt19937_64&) {
+        return std::make_unique<peerlab::testing::ReferenceEvaluator>(
+            peerlab::testing::ReferenceEvaluator::same_priority());
+      },
+      /*allow_excludes=*/true, /*defended=*/true);
+}
+
+TEST(SelectionIndexEquivalence, UserPreferenceDefended) {
+  const auto draw_order = [](std::mt19937_64& rng) {
+    std::vector<PeerId> order;
+    const std::size_t n = rng() % 16;
+    for (std::size_t i = 0; i < n; ++i) order.push_back(PeerId(rng() % 24 + 1));
+    return order;
+  };
+  run_scenarios(
+      [&](std::mt19937_64& rng) {
+        return std::make_unique<UserPreferenceModel>(draw_order(rng));
+      },
+      [&](std::mt19937_64& rng) {
+        return std::make_unique<peerlab::testing::ReferenceUserPreference>(draw_order(rng));
+      },
+      /*allow_excludes=*/true, /*defended=*/true);
+}
+
+TEST(SelectionIndexEquivalence, HybridDefended) {
+  run_scenarios(
+      [](std::mt19937_64& rng) {
+        HybridConfig cfg;
+        cfg.alpha = 0.1 * static_cast<double>(rng() % 11);
+        return std::make_unique<HybridModel>(cfg);
+      },
+      [](std::mt19937_64& rng) {
+        HybridConfig cfg;
+        cfg.alpha = 0.1 * static_cast<double>(rng() % 11);
+        return std::make_unique<peerlab::testing::ReferenceHybrid>(cfg);
+      },
+      /*allow_excludes=*/true, /*defended=*/true);
+}
+
+/// The walks' bounds assume a penalty never lowers a cost: a negative
+/// (or NaN) weight is refused to the scan, as is blind with any weight.
+TEST(SelectionIndexEquivalence, RefusesNegativeReputationWeight) {
+  Harness harness;
+  DataEvaluatorModel model = DataEvaluatorModel::same_priority();
+  harness.bind(&model);
+  std::mt19937_64 rng(testing::test_seed());
+  for (int i = 0; i < 6; ++i) harness.heartbeat(rng);
+  SelectionContext ctx;
+  ctx.now = harness.now();
+  std::vector<PeerId> out{PeerId(99)};
+  for (const double weight : {-1.0, -1e-300, std::nan("")}) {
+    ctx.reputation_weight = weight;
+    EXPECT_FALSE(harness.index().try_select(ctx, harness.now(), 2, out)) << weight;
+  }
+  EXPECT_EQ(out, std::vector<PeerId>{PeerId(99)});  // untouched on refusal
+  EXPECT_EQ(harness.index().scan_fallbacks(), 3u);
+  ctx.reputation_weight = 0.0;
+  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 2, out));
+  ctx.reputation_weight = 2.0;
+  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 2, out));
+  // k = 0 answers empty, like the scan's ranking truncated to nothing.
+  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 0, out));
+  EXPECT_TRUE(out.empty());
+
+  BlindModel blind;
+  harness.bind(&blind);
+  EXPECT_FALSE(harness.index().try_select(ctx, harness.now(), 2, out));
+  ctx.reputation_weight = 0.0;
+  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 2, out));
 }
 
 }  // namespace

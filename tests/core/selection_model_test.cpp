@@ -44,15 +44,17 @@ TEST(SelectionModel, SelectKClampsToEligible) {
   EXPECT_TRUE(model.select_k(peers, ctx, 0).empty());
 }
 
-TEST(SelectionModel, RankedByCostSortsAscendingWithIdTiebreak) {
+TEST(SelectionModel, AppendRankedSortsAscendingWithIdTiebreak) {
   std::vector<ScoredPeer> scored{
       {PeerId(3), 0.5}, {PeerId(1), 0.5}, {PeerId(2), 0.1}, {PeerId(4), 0.9}};
-  const auto ranked = ranked_by_cost(std::move(scored));
-  ASSERT_EQ(ranked.size(), 4u);
-  EXPECT_EQ(ranked[0], PeerId(2));
-  EXPECT_EQ(ranked[1], PeerId(1));  // tie at 0.5 -> lower id first
-  EXPECT_EQ(ranked[2], PeerId(3));
-  EXPECT_EQ(ranked[3], PeerId(4));
+  std::vector<PeerId> ranked{PeerId(9)};  // appends after existing entries
+  append_ranked(scored, ranked);
+  ASSERT_EQ(ranked.size(), 5u);
+  EXPECT_EQ(ranked[0], PeerId(9));
+  EXPECT_EQ(ranked[1], PeerId(2));
+  EXPECT_EQ(ranked[2], PeerId(1));  // tie at 0.5 -> lower id first
+  EXPECT_EQ(ranked[3], PeerId(3));
+  EXPECT_EQ(ranked[4], PeerId(4));
 }
 
 TEST(SelectionModel, EveryModelHonoursTheExcludeList) {

@@ -45,7 +45,6 @@ TEST(EconBroker, ConstrainedContextFallsBackToScanForEveryModel) {
     if (economic_model) {
       world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
     }
-    ASSERT_TRUE(world.broker->index_active());
 
     // Warm the fast path so the fallback below is attributable.
     core::SelectionContext plain;

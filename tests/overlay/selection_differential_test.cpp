@@ -3,7 +3,11 @@
 // candidate index answered from incremental state must return exactly
 // what the frozen scan reference computes from snapshot_group(), for
 // all five models, across ≥ 24 seeds — and an index rebuilt from
-// adopted (replicated) state must keep that property.
+// adopted (replicated) state must keep that property. Defended arms
+// turn the broker's reputation defenses on: the reference then applies
+// the broker's overlay itself (penalty weight, quarantine excludes, the
+// lift when they empty the set) and the index must still serve every
+// non-blind petition.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,8 @@
 #include "peerlab/core/economic.hpp"
 #include "peerlab/core/hybrid.hpp"
 #include "peerlab/core/user_preference.hpp"
+#include "peerlab/obs/trace.hpp"
+#include "peerlab/obs/watchdog.hpp"
 #include "support/test_seed.hpp"
 
 namespace peerlab::overlay {
@@ -128,7 +134,8 @@ StatsDelta fuzz_delta(std::mt19937_64& rng, PeerId subject, Seconds now) {
   return delta;
 }
 
-core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allow_excludes) {
+core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allow_excludes,
+                                    bool long_excludes = false) {
   core::SelectionContext ctx;
   ctx.now = now;
   if (rng() % 2 == 0) ctx.work = 0.5 * static_cast<double>(rng() % 30);
@@ -139,20 +146,42 @@ core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allo
       ctx.exclude.push_back(peer_of(NodeId(static_cast<std::uint64_t>(rng() % kClients) + 2)));
     }
   }
+  if (long_excludes && rng() % 4 == 0) {
+    // Past 64 entries, mostly peers this broker never registered.
+    const int n = 65 + static_cast<int>(rng() % 20);
+    for (int i = 0; i < n; ++i) ctx.exclude.push_back(PeerId(1000 + rng() % 100));
+  }
   return ctx;
 }
 
-void run_world(ModelChoice choice, std::uint64_t seed) {
+/// The broker's reputation overlay, replayed on the reference: the
+/// penalty weight, the quarantined peers appended to the exclude list,
+/// and the quarantine lifted when it leaves no candidate.
+std::vector<PeerId> defended_reference(ModelChoice choice, RefSet& refs, const BrokerPeer& broker,
+                                       std::span<const core::PeerSnapshot> snaps,
+                                       core::SelectionContext ctx, std::size_t k) {
+  ctx.reputation_weight = broker.reputation().config().rank_penalty_weight;
+  const std::size_t base = ctx.exclude.size();
+  broker.reputation().append_quarantined(broker.now(), ctx.exclude);
+  auto picked = reference_select(choice, refs, snaps, ctx, k);
+  if (picked.empty() && ctx.exclude.size() > base) {
+    ctx.exclude.resize(base);
+    picked = reference_select(choice, refs, snaps, ctx, k);
+  }
+  return picked;
+}
+
+void run_world(ModelChoice choice, std::uint64_t seed, bool defended) {
   WorldOptions options;
   options.clients = kClients;
   options.seed = seed;
+  options.broker_config.reputation.enabled = defended;
   OverlayWorld world(options);
   world.boot(2.0);
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
 
   RefSet refs;
   install(choice, *world.broker, refs);
-  ASSERT_TRUE(world.broker->index_active());
 
   const bool allow_excludes = choice != ModelChoice::kBlind;
   int compared = 0;
@@ -175,13 +204,16 @@ void run_world(ModelChoice choice, std::uint64_t seed) {
     t += 5.0 + static_cast<double>(rng() % 40);
     world.sim.run_until(t);
     if (rng() % 2 == 0) {
-      const auto ctx = fuzz_context(rng, world.sim.now(), allow_excludes);
+      const auto ctx = fuzz_context(rng, world.sim.now(), allow_excludes, defended);
       const std::size_t k = rng() % 4 + 1;
       const auto snaps = world.broker->snapshot_group();
+      const auto want = defended
+                            ? defended_reference(choice, refs, *world.broker, snaps, ctx, k)
+                            : reference_select(choice, refs, snaps, ctx, k);
       const auto got = world.broker->select_peers(ctx, k);
-      const auto want = reference_select(choice, refs, snaps, ctx, k);
       ASSERT_EQ(got, want) << "seed=" << seed << " step=" << step
-                           << " model=" << static_cast<int>(choice);
+                           << " model=" << static_cast<int>(choice)
+                           << " defended=" << defended;
       ++compared;
     }
   }
@@ -192,10 +224,10 @@ void run_world(ModelChoice choice, std::uint64_t seed) {
   EXPECT_EQ(world.broker->candidate_index().scan_fallbacks(), 0u) << "seed=" << seed;
 }
 
-void run_model(ModelChoice choice) {
+void run_model(ModelChoice choice, bool defended = false) {
   const std::uint64_t base = peerlab::testing::test_seed();
   for (int i = 0; i < kSeeds; ++i) {
-    run_world(choice, base + static_cast<std::uint64_t>(i));
+    run_world(choice, base + static_cast<std::uint64_t>(i), defended);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -207,6 +239,59 @@ TEST(SelectionDifferential, UserPreferenceUnderChurn) {
   run_model(ModelChoice::kUserPreference);
 }
 TEST(SelectionDifferential, HybridUnderChurn) { run_model(ModelChoice::kHybrid); }
+
+TEST(SelectionDifferential, DefendedEconomicUnderChurn) {
+  run_model(ModelChoice::kEconomic, /*defended=*/true);
+}
+TEST(SelectionDifferential, DefendedEvaluatorUnderChurn) {
+  run_model(ModelChoice::kEvaluator, /*defended=*/true);
+}
+TEST(SelectionDifferential, DefendedUserPreferenceUnderChurn) {
+  run_model(ModelChoice::kUserPreference, /*defended=*/true);
+}
+TEST(SelectionDifferential, DefendedHybridUnderChurn) {
+  run_model(ModelChoice::kHybrid, /*defended=*/true);
+}
+
+/// The online audit re-ranks sampled index-served selections with the
+/// scan under the same effective context, so a defended broker's
+/// penalized, quarantine-excluding selections are audited too — and
+/// must agree.
+TEST(SelectionDifferential, DefendedSelectionsPassTheOnlineAudit) {
+  WorldOptions options;
+  options.clients = kClients;
+  options.broker_config.reputation.enabled = true;
+  OverlayWorld world(options);
+  world.boot(2.0);
+  world.broker->set_selection_model(std::make_unique<core::HybridModel>());
+  const Seconds now = world.sim.now();
+  for (int i = 0; i < kClients; ++i) {
+    const PeerId peer = peer_of(NodeId(static_cast<std::uint64_t>(i) + 2));
+    for (int hit = 0; hit < i % 5; ++hit) world.broker->reputation().record_failure(peer, now);
+  }
+  ASSERT_TRUE(world.broker->reputation().quarantined(peer_of(NodeId(6)), now));
+
+  obs::trace::TraceRecorder recorder(world.sim);
+  obs::Watchdog watchdog(recorder);
+  world.broker->attach_trace(&recorder);
+  std::mt19937_64 rng(peerlab::testing::test_seed());
+  for (int petition = 0; petition < 64; ++petition) {
+    core::SelectionContext ctx = fuzz_context(rng, world.sim.now(), true, true);
+    ctx.trace = recorder.root();
+    (void)world.broker->select_peers(ctx, rng() % 4 + 1);
+  }
+  world.broker->attach_trace(nullptr);
+
+  int audits = 0;
+  for (const auto& record : recorder.events()) {
+    if (record.kind != obs::trace::TraceKind::kIndexAudit) continue;
+    ++audits;
+    EXPECT_EQ(record.b, 1u) << "audit seq " << record.seq;
+  }
+  EXPECT_EQ(audits, 4);
+  EXPECT_TRUE(watchdog.violations().empty());
+  EXPECT_EQ(world.broker->candidate_index().scan_fallbacks(), 0u);
+}
 
 /// Failover pin: a broker that adopts replicated state (fresh client
 /// registry, statistics map and history store — every cached pointer

@@ -1,9 +1,10 @@
 // Fallback regressions around the candidate index: a defended broker
 // whose quarantine covers the whole registry must still answer (the
-// graceful all-quarantined fallback, which the index must never
-// shadow), an exclude list covering the registry yields the same empty
-// ranking as the scan, and gate conditions (oversized excludes, blind
-// with excludes) route to the scan with the fallback counter moving.
+// graceful all-quarantined lift, which the index serves like any other
+// ranking), an exclude list covering the registry yields the same empty
+// ranking as the scan, an exclude list of any length stays on the
+// index, and blind with excludes routes to the scan with the fallback
+// counter moving.
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,6 @@ TEST(SelectionFallback, AllQuarantinedStillAnswersOnDefendedBroker) {
   options.broker_config.reputation.enabled = true;
   OverlayWorld world(options);
   world.boot(2.0);
-  // Defenses on: the index must have stood down.
-  ASSERT_FALSE(world.broker->index_active());
 
   const Seconds now = world.sim.now();
   for (int i = 0; i < options.clients; ++i) {
@@ -43,15 +42,27 @@ TEST(SelectionFallback, AllQuarantinedStillAnswersOnDefendedBroker) {
     ASSERT_TRUE(world.broker->reputation().quarantined(peer, now));
   }
 
-  for (const bool economic : {false, true}) {
-    if (economic) {
-      world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
-    }
-    const auto best = world.broker->select_peers(context_at(world.sim.now()), 1);
-    EXPECT_EQ(best.size(), 1u) << "economic=" << economic;
-    const auto ranked = world.broker->select_peers(context_at(world.sim.now()), 2);
-    EXPECT_FALSE(ranked.empty()) << "economic=" << economic;
+  // Blind refuses a reputation weight, so the scan lifts the quarantine.
+  EXPECT_EQ(world.broker->select_peers(context_at(world.sim.now()), 1).size(), 1u);
+  EXPECT_FALSE(world.broker->select_peers(context_at(world.sim.now()), 2).empty());
+
+  // Economic: the index answers the quarantined context (empty) and
+  // then the lifted one — the penalized ranking of the whole registry.
+  world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
+  const auto& index = world.broker->candidate_index();
+  const auto fallbacks = index.scan_fallbacks();
+  const auto fast = index.fast_path_selections();
+  core::SelectionContext lifted = context_at(world.sim.now());
+  lifted.reputation_weight = options.broker_config.reputation.rank_penalty_weight;
+  const auto snaps = world.broker->snapshot_group();
+  peerlab::testing::ReferenceEconomic reference;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    const auto got = world.broker->select_peers(context_at(world.sim.now()), k);
+    EXPECT_EQ(got.size(), k);
+    EXPECT_EQ(got, peerlab::testing::ref_select_k(reference, snaps, lifted, k));
   }
+  EXPECT_EQ(index.scan_fallbacks(), fallbacks);
+  EXPECT_EQ(index.fast_path_selections(), fast + 4);
 }
 
 TEST(SelectionFallback, ExcludeCoveringRegistryYieldsEmptyLikeScan) {
@@ -60,7 +71,6 @@ TEST(SelectionFallback, ExcludeCoveringRegistryYieldsEmptyLikeScan) {
   OverlayWorld world(options);
   world.boot(2.0);
   world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
-  ASSERT_TRUE(world.broker->index_active());
 
   core::SelectionContext ctx = context_at(world.sim.now());
   for (int i = 0; i < options.clients; ++i) ctx.exclude.push_back(peer_of(NodeId(i + 2)));
@@ -78,7 +88,7 @@ TEST(SelectionFallback, ExcludeCoveringRegistryYieldsEmptyLikeScan) {
   EXPECT_EQ(world.broker->candidate_index().scan_fallbacks(), 0u);
 }
 
-TEST(SelectionFallback, OversizedExcludeListFallsBackToScan) {
+TEST(SelectionFallback, LongExcludeListIsServedByIndex) {
   WorldOptions options;
   options.clients = 4;
   OverlayWorld world(options);
@@ -86,16 +96,21 @@ TEST(SelectionFallback, OversizedExcludeListFallsBackToScan) {
   world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
 
   core::SelectionContext ctx = context_at(world.sim.now());
-  // 65 entries — one past the inline-exclude budget; the targets don't
-  // need to exist for the gate to trip.
+  // 66 entries: one registered peer and 65 the broker never saw (a
+  // defended broker's quarantine list reaches this size).
+  ctx.exclude.push_back(peer_of(NodeId(3)));
   for (std::uint64_t i = 0; i < 65; ++i) ctx.exclude.push_back(PeerId(1000 + i));
 
   const auto snaps = world.broker->snapshot_group();
-  const auto before = world.broker->candidate_index().scan_fallbacks();
+  const auto& index = world.broker->candidate_index();
+  const auto fallbacks = index.scan_fallbacks();
+  const auto fast = index.fast_path_selections();
   const auto got = world.broker->select_peers(ctx, 2);
-  EXPECT_GT(world.broker->candidate_index().scan_fallbacks(), before);
+  EXPECT_EQ(index.scan_fallbacks(), fallbacks);
+  EXPECT_EQ(index.fast_path_selections(), fast + 1);
   peerlab::testing::ReferenceEconomic reference;
   EXPECT_EQ(got, peerlab::testing::ref_select_k(reference, snaps, ctx, 2));
+  EXPECT_EQ(got.size(), 2u);
 }
 
 TEST(SelectionFallback, BlindWithExcludesFallsBackToScan) {
@@ -103,7 +118,6 @@ TEST(SelectionFallback, BlindWithExcludesFallsBackToScan) {
   options.clients = 4;
   OverlayWorld world(options);
   world.boot(2.0);
-  ASSERT_TRUE(world.broker->index_active());
 
   core::SelectionContext ctx = context_at(world.sim.now());
   ctx.exclude.push_back(peer_of(NodeId(2)));
