@@ -40,7 +40,6 @@ struct Fixture {
     for (int i = 0; i < n; ++i) {
       core::PeerSnapshot snap;
       snap.peer = PeerId(static_cast<std::uint64_t>(i + 1));
-      snap.node = NodeId(static_cast<std::uint64_t>(i + 1));
       snap.cpu_ghz = 1.0 + 0.1 * static_cast<double>(i % 10);
       snap.queued_tasks = i % 3;
       snap.idle = i % 3 == 0;

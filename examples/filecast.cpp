@@ -1,7 +1,8 @@
 // Filecast: scatter a large file across broker-selected peers with one
-// call (Primitives::distribute_file), with causal tracing attached to
-// the whole deployment. The trace is dumped to filecast.trace.jsonl;
-// reconstruct its petition chains offline with
+// call (Primitives::distribute_file), against a single-peer baseline,
+// with causal tracing attached to the whole deployment. Each delivery
+// is one trace; both are dumped to filecast.trace.jsonl. Reconstruct
+// their petition chains offline with
 //
 //   $ ./filecast
 //   $ python3 scripts/trace_analyze.py filecast.trace.jsonl [--all]
@@ -11,6 +12,7 @@
 #include "peerlab/core/economic.hpp"
 #include "peerlab/obs/trace.hpp"
 #include "peerlab/planetlab/deployment.hpp"
+#include "peerlab/transport/file_transfer.hpp"
 
 using namespace peerlab;
 
@@ -28,17 +30,22 @@ int main() {
   std::printf("filecast: scattering a %.0f MB file in %d parts over broker-selected peers\n",
               kFileMb, kParts);
 
-  // Baseline: the same file to a single broker-selected peer.
+  // Baseline: the same file to a single broker-selected peer, traced
+  // under its own root so the petition and the transfer share a chain.
   Seconds single_peer = 0.0;
   core::SelectionContext ctx;
   ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
   ctx.payload_size = megabytes(kFileMb);
+  ctx.trace = recorder.root();
   api.select_peers(ctx, 1, [&](std::vector<PeerId> best) {
     if (best.empty()) return;
-    api.send_file(best.front(), megabytes(kFileMb), kParts,
-                  [&](const transport::TransferResult& r) {
-                    if (r.complete) single_peer = r.transmission_time();
-                  });
+    transport::FileTransferConfig cfg;
+    cfg.file_size = megabytes(kFileMb);
+    cfg.parts = kParts;
+    cfg.trace = ctx.trace;
+    dep.control().files().send_file(best.front(), cfg, [&](const transport::TransferResult& r) {
+      if (r.complete) single_peer = r.transmission_time();
+    });
   });
   sim.run();
 

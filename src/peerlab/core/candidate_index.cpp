@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "peerlab/common/check.hpp"
 #include "peerlab/core/blind.hpp"
 #include "peerlab/core/data_evaluator.hpp"
 #include "peerlab/core/economic.hpp"
@@ -59,7 +60,7 @@ bool heap_cmp(double a, double b) { return a > b; }
 
 /// Monotone mirrors of the economic estimators' accumulation order
 /// (estimate_service_time, estimate_cost) over explicit attribute
-/// values. At one peer's cached keys they ARE its scan values
+/// values. At one peer's cached keys they ARE its model values
 /// (compute_keys mirrors the estimators' fallbacks exactly), so walks
 /// never touch the estimators or the history maps; at per-attribute
 /// frontier values they are exact bounds, no margins.
@@ -77,7 +78,7 @@ double cost_chain(const SelectionContext& c, double price, double cpu, double ra
   return price * cpu_time;
 }
 
-/// The scan's ranking order (append_ranked): ascending cost, then peer.
+/// The models' ranking order (append_ranked): ascending cost, then peer.
 template <typename S>
 bool ranks_before(const S& a, const S& b) {
   if (a.value != b.value) return a.value < b.value;
@@ -139,18 +140,20 @@ void CandidateIndex::upsert_peer(PeerId peer, GigaHertz cpu_ghz, double price_pe
                                  const stats::PeerStatistics* statistics, Seconds last_seen,
                                  bool idle, int queued_tasks, int active_transfers) {
   const auto [it, inserted] = slot_of_.try_emplace(peer, static_cast<std::uint32_t>(slots_.size()));
-  if (inserted) slots_.emplace_back();
+  if (inserted) {
+    slots_.emplace_back().peer = peer;
+    snaps_.emplace_back().peer = peer;
+  }
   const std::uint32_t index = it->second;
-  Slot& slot = slots_[index];
-  slot.snap.peer = peer;
-  slot.snap.history = history_;
-  slot.snap.cpu_ghz = cpu_ghz;
-  slot.snap.price_per_cpu_second = price_per_cpu_second;
-  slot.snap.statistics = statistics;
-  slot.snap.idle = idle;
-  slot.snap.queued_tasks = queued_tasks;
-  slot.snap.active_transfers = active_transfers;
-  slot.last_seen = last_seen;
+  PeerSnapshot& snap = snaps_[index];
+  snap.history = history_;
+  snap.cpu_ghz = cpu_ghz;
+  snap.price_per_cpu_second = price_per_cpu_second;
+  snap.statistics = statistics;
+  snap.idle = idle;
+  snap.queued_tasks = queued_tasks;
+  snap.active_transfers = active_transfers;
+  slots_[index].last_seen = last_seen;
   push_live(index, offline_time(last_seen, config_.heartbeat_interval * config_.offline_after_missed));
   mark_dirty(peer);
 }
@@ -158,7 +161,7 @@ void CandidateIndex::upsert_peer(PeerId peer, GigaHertz cpu_ghz, double price_pe
 void CandidateIndex::note_statistics(PeerId peer, const stats::PeerStatistics* statistics) {
   const auto it = slot_of_.find(peer);
   if (it == slot_of_.end()) return;
-  slots_[it->second].snap.statistics = statistics;
+  snaps_[it->second].statistics = statistics;
   mark_dirty(peer);
 }
 
@@ -178,6 +181,7 @@ void CandidateIndex::mark_all_dirty() { all_dirty_ = true; }
 
 void CandidateIndex::clear() {
   slots_.clear();
+  snaps_.clear();
   slot_of_.clear();
   dirty_.clear();
   all_dirty_ = false;
@@ -210,10 +214,17 @@ void CandidateIndex::attach_metrics(obs::MetricRegistry& registry) {
   m_.rebuilds->add(rebuilds_);
 }
 
-bool CandidateIndex::refuse() {
-  ++fallbacks_;
-  if (m_.fallbacks != nullptr) m_.fallbacks->add(1);
-  return false;
+std::optional<PeerSnapshot> CandidateIndex::snapshot(PeerId peer, Seconds sim_now) const {
+  const auto it = slot_of_.find(peer);
+  if (it == slot_of_.end()) return std::nullopt;
+  PeerSnapshot snap = snaps_[it->second];
+  stamp(slots_[it->second], snap, sim_now);
+  return snap;
+}
+
+void CandidateIndex::stamp(const Slot& slot, PeerSnapshot& snap, Seconds sim_now) const {
+  snap.online = slot_online(slot, sim_now);
+  if (reputation_) snap.reputation = reputation_(snap.peer);
 }
 
 // ---- lazy maintenance -------------------------------------------------
@@ -242,7 +253,7 @@ void CandidateIndex::drain_liveness(Seconds sim_now) {
     live_heap_.pop_back();
     Slot& slot = slots_[entry.slot];
     if (entry.stamp != slot.live_stamp) continue;
-    mark_dirty(slot.snap.peer);
+    mark_dirty(slot.peer);
   }
 }
 
@@ -254,7 +265,7 @@ void CandidateIndex::drain_expiry(Seconds now) {
     expiry_heap_.pop_back();
     Slot& slot = slots_[entry.slot];
     if (entry.stamp != slot.exp_stamp) continue;
-    mark_dirty(slot.snap.peer);
+    mark_dirty(slot.peer);
   }
 }
 
@@ -280,20 +291,21 @@ void CandidateIndex::refresh_slot(std::uint32_t slot_index, const SelectionConte
   if (slot.in_trees) remove_from_trees(slot);
   if (!slot_online(slot, sim_now)) return;
   compute_keys(slot, slot_index, context);
-  insert_into_trees(slot);
+  insert_into_trees(slot, snaps_[slot_index].idle);
   ++rekeys_;
   if (m_.rekeys != nullptr) m_.rekeys->add(1);
 }
 
 void CandidateIndex::compute_keys(Slot& slot, std::uint32_t slot_index,
                                   const SelectionContext& context) {
+  const PeerSnapshot& snap = snaps_[slot_index];
   if (kind_ == ModelKind::kUserPreference) {
-    slot.key_static = preference_->base_cost(slot.snap.peer);
+    slot.key_static = preference_->base_cost(slot.peer);
   }
   if ((kind_ == ModelKind::kEvaluator || kind_ == ModelKind::kHybrid) && eval_term_ != nullptr) {
-    slot.key_eval = eval_term_->cost(slot.snap, context);
-    if (window_sensitive_ && slot.snap.statistics != nullptr) {
-      const auto& window = slot.snap.statistics->message_window();
+    slot.key_eval = eval_term_->cost(snap, context);
+    if (window_sensitive_ && snap.statistics != nullptr) {
+      const auto& window = snap.statistics->message_window();
       if (const auto front = window.oldest_event()) {
         push_expiry(slot_index, window_expiry_time(*front, window.span()));
       }
@@ -303,11 +315,10 @@ void CandidateIndex::compute_keys(Slot& slot, std::uint32_t slot_index,
     const EconomicSchedulingModel& econ =
         kind_ == ModelKind::kHybrid ? hybrid_->economic_term() : *economic_;
     const EconomicConfig& cfg = econ.config();
-    const PeerSnapshot& snap = slot.snap;
     slot.key_base = econ.estimate_ready_time(snap);
     // The attribute keys mirror estimate_service_time/estimate_cost's
     // fallbacks exactly: the chain evaluated at a peer's own keys IS
-    // its scan value, which is what makes frontier bounds exact.
+    // its model value, which is what makes frontier bounds exact.
     GigaHertz speed = snap.cpu_ghz;
     MbitPerSec rate = cfg.default_rate_estimate;
     Seconds resp = 0.0;
@@ -330,8 +341,8 @@ void CandidateIndex::compute_keys(Slot& slot, std::uint32_t slot_index,
   }
 }
 
-void CandidateIndex::insert_into_trees(Slot& slot) {
-  const PeerId peer = slot.snap.peer;
+void CandidateIndex::insert_into_trees(Slot& slot, bool idle) {
+  const PeerId peer = slot.peer;
   ids_.insert(0.0, peer);
   switch (kind_) {
     case ModelKind::kUserPreference:
@@ -355,13 +366,12 @@ void CandidateIndex::insert_into_trees(Slot& slot) {
       break;
   }
   slot.in_trees = true;
-  slot.indexed_idle = slot.snap.idle;
-  slot.snap.online = true;
+  slot.indexed_idle = idle;
   if (slot.indexed_idle) ++online_idle_;
 }
 
 void CandidateIndex::remove_from_trees(Slot& slot) {
-  const PeerId peer = slot.snap.peer;
+  const PeerId peer = slot.peer;
   ids_.erase(0.0, peer);
   switch (kind_) {
     case ModelKind::kUserPreference:
@@ -408,13 +418,15 @@ void CandidateIndex::mark_excludes(const SelectionContext& context) {
 
 bool CandidateIndex::eligible(const Slot& slot, bool idle_gate) const noexcept {
   if (slot.excluded == select_epoch_) return false;
-  if (idle_gate && !slot.snap.idle) return false;
+  // Walks visit only indexed slots, flushed before the walk, so the
+  // insertion-time idle flag is the snapshot's.
+  if (idle_gate && !slot.indexed_idle) return false;
   return true;
 }
 
 double CandidateIndex::penalty(const Slot& slot) const {
   if (weight_ == 0.0) return 0.0;
-  return weight_ * (1.0 - (reputation_ ? reputation_(slot.snap.peer) : 1.0));
+  return weight_ * (1.0 - (reputation_ ? reputation_(slot.peer) : 1.0));
 }
 
 void CandidateIndex::keep(const Scored& scored, std::size_t k) {
@@ -491,7 +503,7 @@ void CandidateIndex::dense_top_k(std::size_t k, bool idle_gate, ValueOf value_of
     ++pulls_;
     const std::uint32_t slot_index =
         static_cast<std::uint32_t>(&slot - slots_.data());
-    keep(Scored{slot_index, value_of(slot), slot.snap.peer}, k);
+    keep(Scored{slot_index, value_of(slot), slot.peer}, k);
   }
 }
 
@@ -507,12 +519,11 @@ void CandidateIndex::emit_scored(std::vector<PeerId>& out) {
 
 // ---- per-model fast paths ---------------------------------------------
 
-void CandidateIndex::select_blind(const SelectionContext& context, std::size_t k,
-                                  std::vector<PeerId>& out) {
-  (void)context;  // exclude-free by gate; blind ignores the rest
+void CandidateIndex::select_blind(std::size_t k, std::vector<PeerId>& out) {
+  // Exclude- and weight-free by walkable(); blind ignores the rest.
   out.clear();
   const std::size_t m = ids_.size();
-  if (m == 0) return;  // scan returns before advancing the cursor
+  if (m == 0) return;  // the model returns before advancing the cursor
   std::size_t start = 0;
   if (blind_->mode() == BlindModel::Mode::kRoundRobin) start = blind_->take_turn(m);
   const std::size_t count = std::min(k, m);
@@ -527,7 +538,7 @@ void CandidateIndex::select_tree(const RankedTree& tree, double Slot::*key, doub
   const std::size_t n_el = ids_.size() - excl_online_;
   const std::size_t n_needed = std::min(k, n_el);
   if (n_needed == 0) return;
-  // The tree is ordered by (key, peer) — the scan's own order — and a
+  // The tree is ordered by (key, peer) — the model's own order — and a
   // penalty only raises a cost, so every peer past the frontier entry
   // ranks strictly after it: the frontier pair itself is the bound. At
   // weight 0 that stops the walk on the k-th non-excluded entry.
@@ -551,7 +562,7 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
   const std::size_t n_el =
       idle_gate ? online_idle_ - excl_idle_ : ids_.size() - excl_online_;
   const std::size_t n_needed = std::min(k, n_el);
-  if (n_needed == 0) return;  // scan: no offers (or k = 0) → empty answer
+  if (n_needed == 0) return;  // model: no offers (or k = 0) → empty answer
 
   const bool has_work = context.work > 0.0;
   const bool has_payload = context.payload_size > 0;
@@ -647,7 +658,7 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
     const double tnorm = thi > tlo ? (completion - tlo) / (thi - tlo) : 0.0;
     const double cnorm = chi > clo ? (cost - clo) / (chi - clo) : 0.0;
     double utility = (cfg.time_weight * tnorm + cfg.cost_weight * cnorm) / wsum;
-    utility -= 1e-9 * s.snap.cpu_ghz;
+    utility -= 1e-9 * s.key_cpu;  // the snapshot's cpu_ghz
     utility += penalty(s);
     return utility;
   };
@@ -691,7 +702,7 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
   const bool has_work = context.work > 0.0;
   const bool has_payload = context.payload_size > 0;
 
-  // Mirrors the scan's left-associated ready + service + cost.
+  // Mirrors the model's left-associated ready + service + cost.
   const auto e_chain = [&](double ready, double speed, double rate, double resp, double price,
                            double cpu) {
     return ready + service_chain(context, speed, rate, resp) +
@@ -804,20 +815,37 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
 
 // ---- entry point -------------------------------------------------------
 
-bool CandidateIndex::try_select(const SelectionContext& context, Seconds sim_now, std::size_t k,
-                                std::vector<PeerId>& out) {
-  if (kind_ == ModelKind::kNone || model_ == nullptr) return refuse();
+bool CandidateIndex::walkable(const SelectionContext& context) const noexcept {
+  if (kind_ == ModelKind::kNone) return false;
   // A negative penalty would lower costs below the walks' bounds.
-  if (!(context.reputation_weight >= 0.0)) return refuse();
+  if (!(context.reputation_weight >= 0.0)) return false;
   if (kind_ == ModelKind::kBlind &&
       (!context.exclude.empty() || context.reputation_weight != 0.0)) {
-    return refuse();
+    return false;
   }
   // Economically-constrained petitions (deadline, budget, or an explicit
   // objective) go through the broker's econ engine, which needs the full
   // model ranking — not just the top-k the threshold walk produces — to
-  // run admission. Refuse for every model, not only kEconomic.
-  if (context.econ_constrained()) return refuse();
+  // run admission. The model pass serves them for every model.
+  return !context.econ_constrained();
+}
+
+void CandidateIndex::rank_snapshots(const SelectionContext& context, Seconds sim_now,
+                                    std::size_t k, std::vector<PeerId>& out) {
+  for (std::size_t i = 0; i < snaps_.size(); ++i) stamp(slots_[i], snaps_[i], sim_now);
+  model_->rank_into(snaps_, context, out);
+  if (out.size() > k) out.resize(k);
+}
+
+bool CandidateIndex::select(const SelectionContext& context, Seconds sim_now, std::size_t k,
+                            std::vector<PeerId>& out) {
+  PEERLAB_CHECK_MSG(model_ != nullptr, "select() needs a bound model");
+  if (!walkable(context)) {
+    ++fallbacks_;
+    if (m_.fallbacks != nullptr) m_.fallbacks->add(1);
+    rank_snapshots(context, sim_now, k, out);
+    return false;
+  }
 
   drain_liveness(sim_now);
   drain_expiry(context.now);
@@ -828,10 +856,10 @@ bool CandidateIndex::try_select(const SelectionContext& context, Seconds sim_now
   const std::uint64_t pulls_before = pulls_;
   switch (kind_) {
     case ModelKind::kBlind:
-      select_blind(context, k, out);
+      select_blind(k, out);
       break;
     case ModelKind::kUserPreference:
-      // The scan scales the penalty by its candidate count (rank-index
+      // The model scales the penalty by its candidate count (rank-index
       // costs); the registry is exactly the tracked peers.
       select_tree(t_static_, &Slot::key_static, static_cast<double>(slots_.size()), k, out);
       break;
@@ -844,8 +872,8 @@ bool CandidateIndex::try_select(const SelectionContext& context, Seconds sim_now
     case ModelKind::kHybrid:
       select_hybrid(context, k, out);
       break;
-    default:
-      return refuse();
+    case ModelKind::kNone:  // never walkable
+      break;
   }
   ++fast_path_;
   if (m_.fast_path != nullptr) m_.fast_path->add(1);

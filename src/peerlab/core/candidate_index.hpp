@@ -1,42 +1,40 @@
 #pragma once
 
-// CandidateIndex — incrementally-maintained top-k candidate indexes
-// for the five selection models (DESIGN.md §15).
+// CandidateIndex — the broker's one selection path for the five
+// selection models (DESIGN.md §15).
 //
-// The broker's scan path materializes every registered client into a
-// PeerSnapshot and lets the model rank the lot: O(n) per petition.
-// This index keeps, per bound model, the order statistics that model
-// ranks by — a peer-id tree for blind, the frozen preference rank for
-// user-preference, the evaluator cost, and the six economic attributes
-// (ready time, effective speed, transfer rate, response time, price,
-// CPU) — updated on every heartbeat / stats delta / history record,
-// and answers try_select() in O((k + pulls) log n) with a Fagin-style
-// threshold walk.
+// The index owns one PeerSnapshot per registered client, refreshed by
+// every heartbeat / stats delta / history record, and keeps, per bound
+// model, the order statistics that model ranks by — a peer-id tree for
+// blind, the frozen preference rank for user-preference, the evaluator
+// cost, and the six economic attributes (ready time, effective speed,
+// transfer rate, response time, price, CPU). select() answers most
+// petitions in O((k + pulls) log n) with a Fagin-style threshold walk
+// and the rest with the model pass over the snapshots.
 //
-// The contract is *bit-identical selections*: try_select() either
-// returns exactly what the scan would have returned (same peers, same
-// order, down to floating-point ties) or refuses (returns false) and
-// the caller runs the scan. Exactness without epsilon margins works
-// because IEEE round-to-nearest +, -, ×, / are weakly monotone in each
-// operand: the threshold bounds mimic the scan's expression shapes
-// with per-attribute frontier values, so every unseen peer's true
-// score provably cannot beat the bound, and the walk stops only when
-// the k-th kept score is *strictly* better than the bound (ties force
-// further pulls; a fully-tied registry degrades to a full walk). A
-// single-tree walk is ordered by (key, peer), the scan's own order, so
-// its frontier entry is an exact (score, peer) bound and ties resolve
-// without extra pulls.
+// The contract is *bit-identical selections*: select() returns exactly
+// the bound model's ranking of the snapshots truncated to k (same
+// peers, same order, down to floating-point ties). Exactness without
+// epsilon margins works because IEEE round-to-nearest +, -, ×, / are
+// weakly monotone in each operand: the threshold bounds mimic the
+// model's expression shapes with per-attribute frontier values, so
+// every unseen peer's true score provably cannot beat the bound, and
+// the walk stops only when the k-th kept score is *strictly* better
+// than the bound (ties force further pulls; a fully-tied registry
+// degrades to a full walk). A single-tree walk is ordered by (key,
+// peer), the model's own order, so its frontier entry is an exact
+// (score, peer) bound and ties resolve without extra pulls.
 //
-// Reputation-weighted petitions ride the same walks. The scan adds
+// Reputation-weighted petitions ride the same walks. The models add
 // `reputation_weight * (1 - score)` to each candidate's cost; with a
 // non-negative weight and scores in [0, 1] that penalty is never
 // negative, and round-to-nearest addition is monotone, so every walk
 // keeps its zero-penalty bound and only the exact per-peer value adds
-// the penalty, in the scan's expression order. Scores come from the
+// the penalty, in the model's expression order. Scores come from the
 // callable handed to set_reputation(), read at selection time.
 //
-// Refusal (fallback) conditions — see DESIGN.md §15:
-//   * no model bound / unknown model subclass;
+// Model pass — the petitions no walk serves (see DESIGN.md §15):
+//   * an unrecognised model subclass;
 //   * a negative (or NaN) reputation_weight — the walks' bounds assume
 //     the penalty never lowers a cost;
 //   * blind with a non-empty exclude list or a reputation weight (the
@@ -47,12 +45,19 @@
 //     model ranking for admission, and for kEconomic the feasibility
 //     filter changes the normalization span in ways cursors cannot
 //     bound; see DESIGN.md §17).
+// The pass stamps each snapshot's liveness and reputation at sim_now
+// and ranks them all with the bound model's rank_into. It neither
+// drains nor flushes the trees, so the walk counters (rekeys, pulls,
+// sweeps, rebuilds) move only with the walks; it counts in
+// scan_fallbacks().
 //
-// Time must be non-decreasing across try_select() calls (simulated
+// Time must be non-decreasing across select() calls (simulated
 // time is), because windowed statistics evict destructively on read.
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -83,9 +88,9 @@ class CandidateIndex {
   CandidateIndex() : CandidateIndex(Config{}) {}
   explicit CandidateIndex(Config config);
 
-  /// Binds the model whose ranking the index mirrors. Recognizes the
-  /// five concrete models; anything else leaves the index in
-  /// fallback-only mode. Re-keys lazily on the next try_select().
+  /// Binds the model whose ranking the index answers with. The walks
+  /// recognize the five concrete models; any other model is served by
+  /// the model pass alone. Re-keys lazily on the next select().
   void bind_model(SelectionModel* model);
 
   /// The history store feeding the economic estimators (the broker's;
@@ -93,14 +98,13 @@ class CandidateIndex {
   void set_history(const stats::HistoryStore* history);
 
   /// The reputation score in [0, 1] of a peer at selection time — the
-  /// PeerSnapshot::reputation the scan would see. Unset, every peer
+  /// PeerSnapshot::reputation the model ranks by. Unset, every peer
   /// scores a neutral 1.0.
   using ReputationFn = std::function<double(PeerId)>;
   void set_reputation(ReputationFn score) { reputation_ = std::move(score); }
 
-  /// Registers or refreshes a peer from a heartbeat / adopted record:
-  /// the snapshot fields the models rank by (no model reads the node
-  /// or hostname, so the index keeps neither).
+  /// Registers or refreshes a peer's snapshot from a heartbeat /
+  /// adopted record.
   void upsert_peer(PeerId peer, GigaHertz cpu_ghz, double price_per_cpu_second,
                    const stats::PeerStatistics* statistics, Seconds last_seen, bool idle,
                    int queued_tasks, int active_transfers);
@@ -112,19 +116,34 @@ class CandidateIndex {
 
   /// Schedules a re-key of one peer / of everyone (model rebind,
   /// session reset, adopted state). O(1); work happens lazily inside
-  /// the next try_select().
+  /// the next select().
   void mark_dirty(PeerId peer);
   void mark_all_dirty();
 
   /// Drops every peer (adopt_state rebuilds from the new registry).
   void clear();
 
-  /// Fast-path selection: fills `out` with exactly what the bound
-  /// model's select_k over the broker's snapshots would return, or
-  /// returns false (out untouched) when a fallback condition holds.
-  /// `sim_now` drives liveness, `context.now` the windowed statistics.
-  bool try_select(const SelectionContext& context, Seconds sim_now, std::size_t k,
-                  std::vector<PeerId>& out);
+  /// Fills `out` with the bound model's best min(k, eligible) peers
+  /// over the registry's snapshots, best first: by a threshold walk, or
+  /// by the model pass for the petitions listed above. Returns true
+  /// when a walk answered. `sim_now` drives liveness, `context.now` the
+  /// windowed statistics. A model must be bound.
+  bool select(const SelectionContext& context, Seconds sim_now, std::size_t k,
+              std::vector<PeerId>& out);
+
+  /// The model pass alone: the same answer as select(), computed by
+  /// the bound model over every snapshot stamped at `sim_now`. Moves
+  /// no counter (the broker's sampled audit re-ranks with it).
+  void rank_snapshots(const SelectionContext& context, Seconds sim_now, std::size_t k,
+                      std::vector<PeerId>& out);
+
+  /// Every registered peer's snapshot in registration order, with
+  /// liveness and reputation as the last model pass stamped them.
+  [[nodiscard]] std::span<const PeerSnapshot> snapshots() const noexcept { return snaps_; }
+
+  /// One registered peer's snapshot stamped at `sim_now`; empty for a
+  /// peer that never registered.
+  [[nodiscard]] std::optional<PeerSnapshot> snapshot(PeerId peer, Seconds sim_now) const;
 
   /// Registers the selection.index.* counters (shared by name across
   /// brokers). Zero-cost when never called.
@@ -147,11 +166,13 @@ class CandidateIndex {
     kHybrid,
   };
 
+  /// Walk state of one registered peer; its PeerSnapshot sits at the
+  /// same position in snaps_, off the walks' cache lines.
   struct Slot {
-    PeerSnapshot snap;
+    PeerId peer;
     Seconds last_seen = 0.0;
     bool in_trees = false;
-    bool indexed_idle = false;  // snap.idle at insertion time
+    bool indexed_idle = false;  // the snapshot's idle at insertion time
     bool dirty = false;
     std::uint32_t live_stamp = 0;  // current liveness heap generation
     std::uint32_t exp_stamp = 0;   // current window-expiry generation
@@ -213,21 +234,26 @@ class CandidateIndex {
   }
 
   [[nodiscard]] Slot* find_slot(PeerId peer);
-  bool refuse();
+  /// True when a threshold walk can answer `context` under the bound
+  /// model (false: the petition is on the model-pass list).
+  [[nodiscard]] bool walkable(const SelectionContext& context) const noexcept;
+  /// Stamps `slot`'s liveness and its peer's reputation at `sim_now`
+  /// on `snap` (that slot's snapshot, or a copy of it).
+  void stamp(const Slot& slot, PeerSnapshot& snap, Seconds sim_now) const;
 
-  // ---- maintenance (all lazy, driven from try_select) ----
+  // ---- maintenance (all lazy, driven from select) ----
   void drain_liveness(Seconds sim_now);
   void drain_expiry(Seconds now);
   void flush_dirty(const SelectionContext& context, Seconds sim_now);
   void refresh_slot(std::uint32_t slot_index, const SelectionContext& context, Seconds sim_now);
   void compute_keys(Slot& slot, std::uint32_t slot_index, const SelectionContext& context);
-  void insert_into_trees(Slot& slot);
+  void insert_into_trees(Slot& slot, bool idle);
   void remove_from_trees(Slot& slot);
   void push_live(std::uint32_t slot_index, double key);
   void push_expiry(std::uint32_t slot_index, double key);
 
   // ---- per-model fast paths ----
-  void select_blind(const SelectionContext& context, std::size_t k, std::vector<PeerId>& out);
+  void select_blind(std::size_t k, std::vector<PeerId>& out);
   /// Evaluator / user-preference: a walk over the one tree keyed by
   /// the model's zero-penalty cost, each peer scored `key + penalty ×
   /// scale` (scale 1, or the registry size for preference ranks).
@@ -239,7 +265,7 @@ class CandidateIndex {
   // ---- threshold-walk plumbing ----
   void mark_excludes(const SelectionContext& context);
   [[nodiscard]] bool eligible(const Slot& slot, bool idle_gate) const noexcept;
-  /// The scan's reputation_penalty for `slot`'s peer under the current
+  /// The models' reputation_penalty for `slot`'s peer under the current
   /// petition's weight: exactly 0.0 at weight 0, never negative.
   [[nodiscard]] double penalty(const Slot& slot) const;
   /// Offers `scored` to the k-capped best_heap_ ((value, peer) order).
@@ -293,6 +319,7 @@ class CandidateIndex {
   bool window_sensitive_ = false;
 
   std::vector<Slot> slots_;
+  std::vector<PeerSnapshot> snaps_;  // snaps_[i] belongs to slots_[i]
   std::unordered_map<PeerId, std::uint32_t> slot_of_;
   std::vector<std::uint32_t> dirty_;
   bool all_dirty_ = false;

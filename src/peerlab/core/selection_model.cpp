@@ -10,14 +10,6 @@ PeerId SelectionModel::select(std::span<const PeerSnapshot> candidates,
   return ranking_.empty() ? PeerId{} : ranking_.front();
 }
 
-std::vector<PeerId> SelectionModel::select_k(std::span<const PeerSnapshot> candidates,
-                                             const SelectionContext& context, std::size_t k) {
-  rank_into(candidates, context, ranking_);
-  const std::size_t n = std::min(k, ranking_.size());
-  return std::vector<PeerId>(ranking_.begin(),
-                             ranking_.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
 void append_ranked(std::span<ScoredPeer> scored, std::vector<PeerId>& out) {
   std::sort(scored.begin(), scored.end(), [](const ScoredPeer& a, const ScoredPeer& b) {
     if (a.cost != b.cost) return a.cost < b.cost;

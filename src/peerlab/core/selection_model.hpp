@@ -11,7 +11,7 @@
 // model's arena (see peerlab::mem::Arena), so a warmed model answers
 // petitions with zero steady-state heap allocations — the petition
 // path is the simulator's hottest selection loop (DESIGN.md §13).
-// rank()/select()/select_k() are non-virtual conveniences on top.
+// select() is a non-virtual convenience on top.
 
 #include <memory>
 #include <span>
@@ -43,22 +43,10 @@ class SelectionModel {
   virtual void rank_into(std::span<const PeerSnapshot> candidates,
                          const SelectionContext& context, std::vector<PeerId>& out) = 0;
 
-  /// Convenience wrapper allocating a fresh result vector.
-  [[nodiscard]] std::vector<PeerId> rank(std::span<const PeerSnapshot> candidates,
-                                         const SelectionContext& context) {
-    std::vector<PeerId> out;
-    rank_into(candidates, context, out);
-    return out;
-  }
-
   /// The best candidate, or an invalid id when none is eligible.
   /// Ranks into a reused member buffer: allocation-free once warmed.
   [[nodiscard]] PeerId select(std::span<const PeerSnapshot> candidates,
                               const SelectionContext& context);
-
-  /// The best min(k, eligible) candidates, best-first.
-  [[nodiscard]] std::vector<PeerId> select_k(std::span<const PeerSnapshot> candidates,
-                                             const SelectionContext& context, std::size_t k);
 
  protected:
   /// Per-model scratch arena for rank_into() intermediates. Contents
@@ -67,7 +55,7 @@ class SelectionModel {
 
  private:
   mem::Arena arena_;
-  std::vector<PeerId> ranking_;  // reused by select()/select_k()
+  std::vector<PeerId> ranking_;  // reused by select()
 };
 
 /// Scored ranking helper shared by the models: orders by ascending cost

@@ -1,12 +1,12 @@
 #pragma once
 
 // PeerSnapshot: everything a selection model may know about a candidate
-// peer at decision time. The broker materializes snapshots from its
-// registry, statistics and history; models stay decoupled from the
-// overlay and are unit-testable on synthetic snapshots.
+// peer at decision time. The broker's candidate index keeps one per
+// registered client, fed from its registry, statistics and history;
+// models stay decoupled from the overlay and are unit-testable on
+// synthetic snapshots. Plain data, trivially copyable.
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "peerlab/common/ids.hpp"
@@ -19,8 +19,6 @@ namespace peerlab::core {
 
 struct PeerSnapshot {
   PeerId peer;
-  NodeId node;
-  std::string hostname;
 
   // Advertised/static properties.
   GigaHertz cpu_ghz = 1.0;

@@ -114,13 +114,8 @@ EconRunCell economic_run(const RunOptions& options, std::uint64_t seed, int rep,
         }
         const PeerId winner = peers.front();
         // Price the pick at decision time from the broker's own view.
-        double quoted = 0.0;
-        for (const auto& snap : dep.broker().snapshot_group()) {
-          if (snap.peer == winner) {
-            quoted = quoter.appraise(snap, ctx).cost;
-            break;
-          }
-        }
+        const auto snap = dep.broker().candidate_index().snapshot(winner, sim.now());
+        const double quoted = snap ? quoter.appraise(*snap, ctx).cost : 0.0;
         FileTransferConfig cfg;
         cfg.file_size = kEconPayload;
         cfg.parts = 4;

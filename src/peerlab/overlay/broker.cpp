@@ -13,8 +13,8 @@ namespace peerlab::overlay {
 using obs::trace::TraceKind;
 
 namespace {
-/// Every Nth traced index-served selection is re-ranked by the scan
-/// (see audit_index_selection).
+/// Every Nth traced walk-served selection is re-ranked by the model
+/// pass (see audit_index_selection).
 constexpr std::uint64_t kSelectionAuditPeriod = 16;
 }  // namespace
 
@@ -40,7 +40,7 @@ BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
   history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
   index_.bind_model(model_.get());
   if (config_.reputation.enabled) {
-    // The same score snapshot_group() would stamp on each candidate.
+    // The score the index stamps on each candidate's snapshot.
     index_.set_reputation([this](PeerId peer) { return reputation_.score(peer, sim().now()); });
   }
   directories_.rendezvous.enroll(node_, rendezvous_);
@@ -102,45 +102,19 @@ void BrokerPeer::set_selection_model(std::unique_ptr<core::SelectionModel> model
   index_.bind_model(model_.get());
 }
 
-std::vector<core::PeerSnapshot> BrokerPeer::snapshot_group() const {
-  std::vector<core::PeerSnapshot> snapshots;
-  snapshots.reserve(clients_.size());
-  const auto& topology = endpoint_.fabric().network().topology();
-  for (const auto& [peer, record] : clients_) {
-    core::PeerSnapshot snap;
-    snap.peer = peer;
-    snap.node = record.node;
-    const auto& profile = topology.node(record.node).profile();
-    snap.hostname = profile.hostname;
-    snap.cpu_ghz = profile.cpu_ghz;
-    snap.price_per_cpu_second = profile.price_per_cpu_second;
-    snap.online = online(peer);
-    snap.idle = record.idle;
-    snap.queued_tasks = record.backlog;
-    snap.active_transfers = record.pending_transfers;
-    const auto stats_it = statistics_.find(peer);
-    snap.statistics = stats_it == statistics_.end() ? nullptr : &stats_it->second;
-    snap.history = &history_;
-    if (config_.reputation.enabled) {
-      snap.reputation = reputation_.score(peer, sim().now());
-    }
-    snapshots.push_back(std::move(snap));
-  }
-  return snapshots;
-}
-
 std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& context,
                                              std::size_t k) {
   const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
   const bool traced = trace_ != nullptr && context.trace.active();
   core::SelectionContext effective = context;
-  std::vector<core::PeerSnapshot> snapshots;
   std::vector<PeerId> ranking;
-  const bool indexed = rank_defended(effective, k, snapshots, ranking);
-  if (econ_.applies(context)) {
-    // The index refuses constrained petitions, so `ranking` is the
-    // scan's full ranking over `snapshots` — what admission needs.
-    const auto verdict = econ_.admit_and_rank(snapshots, effective, ranking);
+  const bool econ = econ_.applies(context);
+  // Admission needs the model's full ranking. Constrained petitions
+  // always take the model pass, so the index's snapshots are the ones
+  // this ranking was computed over.
+  const bool indexed = rank_defended(effective, econ ? index_.snapshots().size() : k, ranking);
+  if (econ) {
+    const auto verdict = econ_.admit_and_rank(index_.snapshots(), effective, ranking);
     if (ranking.size() > k) ranking.resize(k);
     // Optimistic backlog: the answered peers are about to receive work
     // the next heartbeat cannot know about yet. Hint the engine so a
@@ -152,25 +126,19 @@ std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& conte
                    verdict.exhausted ? 0 : verdict.appraised);
     }
   }
-  if (ranking.size() > k) ranking.resize(k);
   if (traced && indexed) {
     trace_->emit(node_, TraceKind::kIndexPull, context.trace, k, ranking.size());
     audit_index_selection(effective, k, ranking);
   } else if (traced) {
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(), ranking.size());
+    trace_->emit(node_, TraceKind::kSelectRank, context.trace, index_.snapshots().size(),
+                 ranking.size());
   }
   return ranking;
 }
 
 bool BrokerPeer::rank_defended(core::SelectionContext& effective, std::size_t k,
-                               std::vector<core::PeerSnapshot>& snapshots,
                                std::vector<PeerId>& ranking) {
-  const auto rank = [&]() {
-    if (index_.try_select(effective, sim().now(), k, ranking)) return true;
-    if (snapshots.empty()) snapshots = snapshot_group();
-    model_->rank_into(snapshots, effective, ranking);
-    return false;
-  };
+  const auto rank = [&]() { return index_.select(effective, sim().now(), k, ranking); };
   if (!config_.reputation.enabled) return rank();
   effective.reputation_weight = config_.reputation.rank_penalty_weight;
   const std::size_t base_excludes = effective.exclude.size();
@@ -190,13 +158,14 @@ bool BrokerPeer::rank_defended(core::SelectionContext& effective, std::size_t k,
 void BrokerPeer::audit_index_selection(const core::SelectionContext& effective, std::size_t k,
                                        const std::vector<PeerId>& picked) {
   // The blind model's shared rotation cursor advances on every ranking;
-  // re-running the scan would perturb the very selections under audit.
+  // re-running the model would perturb the very selections under audit.
   // Blind index/scan equivalence is pinned by the differential harness
   // instead (tests/core/selection_index_property_test.cpp).
   if (model_->name() == "blind") return;
   if (++audit_clock_ % kSelectionAuditPeriod != 0) return;
-  const auto scanned = model_->select_k(snapshot_group(), effective, k);
-  trace_->emit(node_, TraceKind::kIndexAudit, effective.trace, k, scanned == picked ? 1 : 0);
+  std::vector<PeerId> ranked;
+  index_.rank_snapshots(effective, sim().now(), k, ranked);
+  trace_->emit(node_, TraceKind::kIndexAudit, effective.trace, k, ranked == picked ? 1 : 0);
 }
 
 void BrokerPeer::attach_metrics(obs::MetricRegistry& registry, obs::WallProfiler* profiler) {

@@ -88,16 +88,15 @@ class BrokerPeer {
   void set_selection_model(std::unique_ptr<core::SelectionModel> model);
   [[nodiscard]] core::SelectionModel& selection_model() noexcept { return *model_; }
 
-  /// Materializes the current view of every registered client.
-  [[nodiscard]] std::vector<core::PeerSnapshot> snapshot_group() const;
-
-  /// The O(log n) candidate index serving selections (DESIGN.md §15),
-  /// defended or not; petitions it refuses fall back to the scan.
+  /// The candidate index answering every selection (DESIGN.md §15),
+  /// defended or not: an O(log n) walk, or its model pass over the
+  /// registry's snapshots. It holds one snapshot per registered client.
   [[nodiscard]] const core::CandidateIndex& candidate_index() const noexcept { return index_; }
 
   /// Local (zero-latency) selection; the wire path goes through the
   /// kSelectRequest handler. Economically-constrained petitions (with
-  /// the engine on) are re-ranked by the engine's admission.
+  /// the engine on) take the index's full model ranking and are
+  /// re-ranked by the engine's admission over the index's snapshots.
   [[nodiscard]] std::vector<PeerId> select_peers(const core::SelectionContext& context,
                                                  std::size_t k);
 
@@ -173,9 +172,10 @@ class BrokerPeer {
 
   /// Attaches (or detaches with nullptr) the causal-trace recorder.
   /// Traced selection requests then emit kSelectServe/kSelectRank/
-  /// kIndexPull plus kIndexAudit verdicts: every 16th index-served
-  /// selection under a non-blind model is re-ranked by the scan with
-  /// the same effective context (detached runs never audit, so they
+  /// kIndexPull plus kIndexAudit verdicts: every 16th walk-served
+  /// selection under a non-blind model is re-ranked by the index's
+  /// model pass with the same effective context, moving no index
+  /// counter (detached runs never audit, so they
   /// stay byte-identical; the blind model's rotation cursor would be
   /// perturbed by a second ranking). Traced stats
   /// deltas emit kStatsApply, and imposed quarantines land as ambient
@@ -195,23 +195,22 @@ class BrokerPeer {
 
   void on_heartbeat(const transport::Message& m);
   void on_stats_report(const transport::Message& m);
-  /// Sampled index-vs-scan equivalence check (traced selections only).
+  /// Sampled walk-vs-model-pass equivalence check (traced selections
+  /// only).
   void audit_index_selection(const core::SelectionContext& effective, std::size_t k,
                              const std::vector<PeerId>& picked);
   /// Re-registers every client with the index (adopted state).
   void rebuild_index();
   /// Registers or refreshes one client in the index.
   void index_client(const ClientRecord& record);
-  /// The one selection ranking. With defenses on, applies the
-  /// rank-penalty weight and excludes quarantined peers (traced as
-  /// kReputationExclude), lifting the quarantine when it empties the
-  /// candidate set. Each ranking is the index's top k, or — when the
-  /// index refuses the context — the scan's full ranking over
-  /// `snapshots` (materialized on first use). `effective` ends as the
-  /// context the final ranking used; returns true when the index
-  /// served it.
+  /// The one selection ranking: the index's top k. With defenses on,
+  /// applies the rank-penalty weight and excludes quarantined peers
+  /// (traced as kReputationExclude), lifting the quarantine when it
+  /// empties the candidate set. `effective` ends as the context the
+  /// final ranking used; returns true when a walk (not the model pass)
+  /// answered it.
   bool rank_defended(core::SelectionContext& effective, std::size_t k,
-                     std::vector<core::PeerSnapshot>& snapshots, std::vector<PeerId>& ranking);
+                     std::vector<PeerId>& ranking);
   void serve_selection(const transport::Message& m);
   void forward_query(const jxta::AdvertisementQuery& query, std::size_t peer_index,
                      std::shared_ptr<std::vector<jxta::Advertisement>> accumulated,

@@ -1,4 +1,5 @@
 #include "peerlab/core/blind.hpp"
+#include "support/ranking.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,11 +8,12 @@
 namespace peerlab::core {
 namespace {
 
+using peerlab::testing::ranked;
+
 std::vector<PeerSnapshot> peers(std::size_t n) {
   std::vector<PeerSnapshot> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     out[i].peer = PeerId(i + 1);
-    out[i].node = NodeId(i + 1);
   }
   return out;
 }
@@ -43,8 +45,8 @@ TEST(Blind, RoundRobinRankingIsARotation) {
   BlindModel model(BlindModel::Mode::kRoundRobin);
   const auto candidates = peers(3);
   SelectionContext ctx;
-  const auto first = model.rank(candidates, ctx);
-  const auto second = model.rank(candidates, ctx);
+  const auto first = ranked(model, candidates, ctx);
+  const auto second = ranked(model, candidates, ctx);
   ASSERT_EQ(first.size(), 3u);
   ASSERT_EQ(second.size(), 3u);
   EXPECT_EQ(first[0], PeerId(1));
@@ -64,11 +66,11 @@ TEST(Blind, OfflinePeersSkipped) {
 TEST(Blind, EmptyOrAllOfflineGivesNothing) {
   BlindModel model;
   SelectionContext ctx;
-  EXPECT_TRUE(model.rank({}, ctx).empty());
+  EXPECT_TRUE(ranked(model, {}, ctx).empty());
   auto candidates = peers(2);
   candidates[0].online = false;
   candidates[1].online = false;
-  EXPECT_TRUE(model.rank(candidates, ctx).empty());
+  EXPECT_TRUE(ranked(model, candidates, ctx).empty());
 }
 
 TEST(Blind, IgnoresAllQualitySignals) {

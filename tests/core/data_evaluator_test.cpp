@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "peerlab/common/check.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
+
+using peerlab::testing::ranked;
 
 using stats::Criterion;
 
@@ -82,7 +85,7 @@ TEST(DataEvaluator, WorsePeerCostsMore) {
 
   auto mutable_model = DataEvaluatorModel::same_priority();
   std::vector<PeerSnapshot> peers{pb, pg};
-  EXPECT_EQ(mutable_model.rank(peers, ctx).front(), PeerId(1));
+  EXPECT_EQ(ranked(mutable_model, peers, ctx).front(), PeerId(1));
 }
 
 TEST(DataEvaluator, ZeroWeightCriteriaAreIgnored) {
@@ -105,7 +108,7 @@ TEST(DataEvaluator, ZeroWeightCriteriaAreIgnored) {
   SelectionContext ctx;
   ctx.now = 1.0;
   std::vector<PeerSnapshot> peers{a, b};
-  EXPECT_EQ(model.rank(peers, ctx).front(), PeerId(1));
+  EXPECT_EQ(ranked(model, peers, ctx).front(), PeerId(1));
 }
 
 TEST(DataEvaluator, CustomWeightsShiftTheDecision) {
@@ -127,9 +130,9 @@ TEST(DataEvaluator, CustomWeightsShiftTheDecision) {
   std::vector<PeerSnapshot> peers{a, b};
 
   DataEvaluatorModel msg_focused({{Criterion::kMsgSuccessTotal, 1.0}});
-  EXPECT_EQ(msg_focused.rank(peers, ctx).front(), PeerId(1));
+  EXPECT_EQ(ranked(msg_focused, peers, ctx).front(), PeerId(1));
   DataEvaluatorModel queue_focused({{Criterion::kOutboxNow, 1.0}});
-  EXPECT_EQ(queue_focused.rank(peers, ctx).front(), PeerId(2));
+  EXPECT_EQ(ranked(queue_focused, peers, ctx).front(), PeerId(2));
 }
 
 TEST(DataEvaluator, UnknownPeersGetNeutralCost) {
@@ -147,7 +150,7 @@ TEST(DataEvaluator, OfflinePeersExcluded) {
   off.online = false;
   SelectionContext ctx;
   std::vector<PeerSnapshot> peers{off};
-  EXPECT_TRUE(model.rank(peers, ctx).empty());
+  EXPECT_TRUE(ranked(model, peers, ctx).empty());
 }
 
 TEST(DataEvaluator, RejectsDegenerateWeightVectors) {

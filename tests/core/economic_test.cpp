@@ -3,14 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "peerlab/common/check.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
 
+using peerlab::testing::ranked;
+
 PeerSnapshot peer(std::uint64_t id, bool idle = true, int queued = 0) {
   PeerSnapshot p;
   p.peer = PeerId(id);
-  p.node = NodeId(id);
   p.cpu_ghz = 1.0;
   p.price_per_cpu_second = 1.0;
   p.idle = idle;
@@ -28,7 +30,7 @@ SelectionContext task_ctx(GigaCycles work = 60.0) {
 TEST(Economic, PrefersIdlePeersOverBusyOnes) {
   EconomicSchedulingModel model;
   std::vector<PeerSnapshot> peers{peer(1, /*idle=*/false, /*queued=*/3), peer(2, true, 0)};
-  const auto ranking = model.rank(peers, task_ctx());
+  const auto ranking = ranked(model, peers, task_ctx());
   ASSERT_FALSE(ranking.empty());
   EXPECT_EQ(ranking.front(), PeerId(2));
   // With prefer_idle, the busy peer is excluded entirely.
@@ -38,7 +40,7 @@ TEST(Economic, PrefersIdlePeersOverBusyOnes) {
 TEST(Economic, FallsBackToBusyPeersWhenNoneIdle) {
   EconomicSchedulingModel model;
   std::vector<PeerSnapshot> peers{peer(1, false, 5), peer(2, false, 1)};
-  const auto ranking = model.rank(peers, task_ctx());
+  const auto ranking = ranked(model, peers, task_ctx());
   ASSERT_EQ(ranking.size(), 2u);
   EXPECT_EQ(ranking.front(), PeerId(2));  // shorter backlog wins
 }
@@ -48,7 +50,7 @@ TEST(Economic, PreferIdleDisabledRanksEveryone) {
   cfg.prefer_idle = false;
   EconomicSchedulingModel model(cfg);
   std::vector<PeerSnapshot> peers{peer(1, false, 3), peer(2, true, 0)};
-  EXPECT_EQ(model.rank(peers, task_ctx()).size(), 2u);
+  EXPECT_EQ(ranked(model, peers, task_ctx()).size(), 2u);
 }
 
 TEST(Economic, OfflinePeersAreNeverRanked) {
@@ -56,7 +58,7 @@ TEST(Economic, OfflinePeersAreNeverRanked) {
   auto offline = peer(1);
   offline.online = false;
   std::vector<PeerSnapshot> peers{offline, peer(2)};
-  const auto ranking = model.rank(peers, task_ctx());
+  const auto ranking = ranked(model, peers, task_ctx());
   ASSERT_EQ(ranking.size(), 1u);
   EXPECT_EQ(ranking[0], PeerId(2));
 }
@@ -128,7 +130,7 @@ TEST(Economic, FasterCpuBreaksTies) {
   // Same price, no history, no work => identical completion and cost.
   std::vector<PeerSnapshot> peers{slow, fast};
   SelectionContext ctx;
-  const auto ranking = model.rank(peers, ctx);
+  const auto ranking = ranked(model, peers, ctx);
   ASSERT_EQ(ranking.size(), 2u);
   EXPECT_EQ(ranking.front(), PeerId(2));
 }
@@ -143,7 +145,7 @@ TEST(Economic, CheaperPeerWinsWhenCostDominates) {
   auto cheap = peer(2);
   cheap.price_per_cpu_second = 1.0;
   std::vector<PeerSnapshot> peers{pricey, cheap};
-  EXPECT_EQ(model.rank(peers, task_ctx()).front(), PeerId(2));
+  EXPECT_EQ(ranked(model, peers, task_ctx()).front(), PeerId(2));
 }
 
 TEST(Economic, FasterPeerWinsWhenTimeDominates) {
@@ -158,7 +160,7 @@ TEST(Economic, FasterPeerWinsWhenTimeDominates) {
   fast_pricey.cpu_ghz = 3.0;
   fast_pricey.price_per_cpu_second = 10.0;
   std::vector<PeerSnapshot> peers{slow_cheap, fast_pricey};
-  EXPECT_EQ(model.rank(peers, task_ctx()).front(), PeerId(2));
+  EXPECT_EQ(ranked(model, peers, task_ctx()).front(), PeerId(2));
 }
 
 TEST(Economic, BudgetFiltersExpensivePeers) {
@@ -169,7 +171,7 @@ TEST(Economic, BudgetFiltersExpensivePeers) {
   std::vector<PeerSnapshot> peers{pricey, cheap};
   auto ctx = task_ctx(60.0);  // 60 s of CPU at 1 GHz
   ctx.budget = 100.0;         // pricey peer would cost 6000
-  const auto ranking = model.rank(peers, ctx);
+  const auto ranking = ranked(model, peers, ctx);
   ASSERT_EQ(ranking.size(), 1u);
   EXPECT_EQ(ranking[0], PeerId(2));
 }
@@ -184,7 +186,7 @@ TEST(Economic, DeadlineFiltersSlowPeers) {
   auto ctx = task_ctx(60.0);
   ctx.now = 0.0;
   ctx.deadline = 100.0;
-  const auto ranking = model.rank(peers, ctx);
+  const auto ranking = ranked(model, peers, ctx);
   ASSERT_EQ(ranking.size(), 1u);
   EXPECT_EQ(ranking[0], PeerId(2));
 }
@@ -198,7 +200,7 @@ TEST(Economic, AllInfeasibleStillOffersLeastBad) {
   std::vector<PeerSnapshot> peers{a, b};
   auto ctx = task_ctx(600.0);
   ctx.deadline = 1.0;  // nobody makes it
-  const auto ranking = model.rank(peers, ctx);
+  const auto ranking = ranked(model, peers, ctx);
   ASSERT_EQ(ranking.size(), 2u);  // broker never refuses service
   EXPECT_EQ(ranking.front(), PeerId(2));
 }

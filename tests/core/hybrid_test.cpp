@@ -5,9 +5,12 @@
 #include <deque>
 
 #include "peerlab/common/check.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
+
+using peerlab::testing::ranked;
 
 struct Population {
   std::deque<stats::PeerStatistics> statistics;
@@ -31,7 +34,6 @@ Population mixed_population() {
   for (int i = 0; i < 3; ++i) {
     PeerSnapshot snap;
     snap.peer = PeerId(static_cast<std::uint64_t>(i + 1));
-    snap.node = NodeId(static_cast<std::uint64_t>(i + 1));
     snap.cpu_ghz = cpus[i];
     snap.statistics = &pop.statistics[static_cast<std::size_t>(i)];
     pop.snapshots.push_back(std::move(snap));
@@ -56,8 +58,8 @@ TEST(Hybrid, AlphaOneMatchesEconomicOrdering) {
   ecfg.prefer_idle = false;
   EconomicSchedulingModel economic(ecfg);
   // Both rank by time/cost: the 3 GHz peer wins despite its record.
-  EXPECT_EQ(hybrid.rank(pop.snapshots, task_ctx()).front(), PeerId(1));
-  EXPECT_EQ(economic.rank(pop.snapshots, task_ctx()).front(), PeerId(1));
+  EXPECT_EQ(ranked(hybrid, pop.snapshots, task_ctx()).front(), PeerId(1));
+  EXPECT_EQ(ranked(economic, pop.snapshots, task_ctx()).front(), PeerId(1));
 }
 
 TEST(Hybrid, AlphaZeroMatchesEvaluatorOrdering) {
@@ -66,8 +68,8 @@ TEST(Hybrid, AlphaZeroMatchesEvaluatorOrdering) {
   cfg.alpha = 0.0;
   HybridModel hybrid(cfg);
   auto evaluator = DataEvaluatorModel::same_priority();
-  EXPECT_EQ(hybrid.rank(pop.snapshots, task_ctx()).front(), PeerId(2));
-  EXPECT_EQ(evaluator.rank(pop.snapshots, task_ctx()).front(), PeerId(2));
+  EXPECT_EQ(ranked(hybrid, pop.snapshots, task_ctx()).front(), PeerId(2));
+  EXPECT_EQ(ranked(evaluator, pop.snapshots, task_ctx()).front(), PeerId(2));
 }
 
 TEST(Hybrid, MidAlphaTradesSpeedAgainstReliability) {
@@ -82,7 +84,7 @@ TEST(Hybrid, MidAlphaTradesSpeedAgainstReliability) {
     HybridConfig cfg;
     cfg.alpha = alpha;
     HybridModel hybrid(cfg);
-    winners.push_back(hybrid.rank(pop.snapshots, task_ctx()).front());
+    winners.push_back(ranked(hybrid, pop.snapshots, task_ctx()).front());
   }
   EXPECT_EQ(winners.front(), PeerId(2));  // pure evaluator
   EXPECT_EQ(winners.back(), PeerId(1));   // pure economic
@@ -100,14 +102,14 @@ TEST(Hybrid, OfflinePeersExcluded) {
   auto pop = mixed_population();
   pop.snapshots[0].online = false;
   HybridModel hybrid;
-  const auto ranking = hybrid.rank(pop.snapshots, task_ctx());
+  const auto ranking = ranked(hybrid, pop.snapshots, task_ctx());
   EXPECT_EQ(ranking.size(), 2u);
   for (const auto peer : ranking) EXPECT_NE(peer, PeerId(1));
 }
 
 TEST(Hybrid, EmptyCandidatesGiveEmptyRanking) {
   HybridModel hybrid;
-  EXPECT_TRUE(hybrid.rank({}, task_ctx()).empty());
+  EXPECT_TRUE(ranked(hybrid, {}, task_ctx()).empty());
 }
 
 TEST(Hybrid, RejectsBadAlpha) {

@@ -13,14 +13,16 @@
 #include "peerlab/core/economic.hpp"
 #include "peerlab/core/hybrid.hpp"
 #include "peerlab/core/user_preference.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
 
+using peerlab::testing::ranked;
+
 PeerSnapshot peer(std::uint64_t id, double reputation = 1.0) {
   PeerSnapshot p;
   p.peer = PeerId(id);
-  p.node = NodeId(id);
   p.cpu_ghz = 1.0;
   p.price_per_cpu_second = 1.0;
   p.idle = true;
@@ -56,13 +58,13 @@ void expect_weight_semantics(MakeModel make_model) {
   {
     auto a = make_model();
     auto b = make_model();
-    const auto baseline = a->rank(trusted, transfer_ctx(0.0));
-    const auto undefended = b->rank(mixed, transfer_ctx(0.0));
+    const auto baseline = ranked(*a, trusted, transfer_ctx(0.0));
+    const auto undefended = ranked(*b, mixed, transfer_ctx(0.0));
     EXPECT_EQ(baseline, undefended);  // weight 0: reputation invisible
   }
   {
     auto m = make_model();
-    const auto defended = m->rank(mixed, transfer_ctx(2.0));
+    const auto defended = ranked(*m, mixed, transfer_ctx(2.0));
     ASSERT_EQ(defended.size(), 3u);
     EXPECT_EQ(defended.back(), PeerId(1));  // distrusted peer sinks
   }
@@ -89,14 +91,14 @@ TEST(ReputationPenalty, UserPreferenceSinksEvenTheFavourite) {
   {
     UserPreferenceModel m(order);
     const auto ranking =
-        m.rank(std::vector<PeerSnapshot>{peer(1, 0.0), peer(2), peer(3)}, transfer_ctx(0.0));
+        ranked(m, std::vector<PeerSnapshot>{peer(1, 0.0), peer(2), peer(3)}, transfer_ctx(0.0));
     ASSERT_EQ(ranking.size(), 3u);
     EXPECT_EQ(ranking.front(), PeerId(1));  // weight 0: preference rules
   }
   {
     UserPreferenceModel m(order);
     const auto ranking =
-        m.rank(std::vector<PeerSnapshot>{peer(1, 0.0), peer(2), peer(3)}, transfer_ctx(1.0));
+        ranked(m, std::vector<PeerSnapshot>{peer(1, 0.0), peer(2), peer(3)}, transfer_ctx(1.0));
     ASSERT_EQ(ranking.size(), 3u);
     EXPECT_EQ(ranking.back(), PeerId(1));
     EXPECT_EQ(ranking.front(), PeerId(2));  // remaining preference intact
@@ -110,7 +112,7 @@ TEST(ReputationPenalty, BlindConfinesRotationToTheTrustedGroup) {
   // group: the distrusted peer is always ranked last.
   std::vector<PeerId> firsts;
   for (int i = 0; i < 4; ++i) {
-    const auto ranking = defended.rank(mixed, transfer_ctx(2.0));
+    const auto ranking = ranked(defended, mixed, transfer_ctx(2.0));
     ASSERT_EQ(ranking.size(), 3u);
     EXPECT_EQ(ranking.back(), PeerId(1));
     firsts.push_back(ranking.front());
@@ -122,9 +124,9 @@ TEST(ReputationPenalty, BlindConfinesRotationToTheTrustedGroup) {
   // Weight 0: the same snapshots rotate over the whole set, exactly as
   // a defense-free blind broker would.
   BlindModel undefended;
-  const auto first = undefended.rank(mixed, transfer_ctx(0.0));
-  const auto second = undefended.rank(mixed, transfer_ctx(0.0));
-  const auto third = undefended.rank(mixed, transfer_ctx(0.0));
+  const auto first = ranked(undefended, mixed, transfer_ctx(0.0));
+  const auto second = ranked(undefended, mixed, transfer_ctx(0.0));
+  const auto third = ranked(undefended, mixed, transfer_ctx(0.0));
   EXPECT_EQ(first.front(), PeerId(1));
   EXPECT_EQ(second.front(), PeerId(2));
   EXPECT_EQ(third.front(), PeerId(3));

@@ -1,7 +1,7 @@
 // Differential selection-equivalence harness: CandidateIndex's
-// threshold-walk fast path against the extracted scan-based reference
-// rankers (selection_reference.hpp), asserting *bit-identical*
-// selected-peer sequences.
+// threshold walks and its model pass against the extracted scan-based
+// reference rankers (selection_reference.hpp), asserting
+// *bit-identical* selected-peer sequences.
 //
 // Each scenario is a fresh index driven by a seeded interleaving of
 // heartbeats (register / re-register, field churn, liveness decay),
@@ -11,7 +11,8 @@
 // scenarios per model × 5 models = 1000 scenarios, plus defended arms
 // for the four index-served defended models: reputation weights 0 and
 // 2.0, per-peer scores drawn to hit exactly 0 and 1 and to tie, and
-// exclude lists longer than 64. Seeds derive from testing::test_seed()
+// exclude lists longer than 64 — and a blind arm whose excludes and
+// weights send petitions to the model pass. Seeds derive from testing::test_seed()
 // (export PEERLAB_TEST_SEED to replay a failure).
 
 #include <gtest/gtest.h>
@@ -47,8 +48,6 @@ constexpr int kScenariosPerModel = 200;
 
 struct FuzzPeer {
   PeerId peer;
-  NodeId node;
-  std::string hostname;
   double cpu_ghz = 1.0;
   double price = 1.0;
   bool idle = true;
@@ -75,8 +74,6 @@ class Harness {
     FuzzPeer& p = it->second;
     if (inserted) {
       p.peer = peer;
-      p.node = NodeId(peer.value() + 1);
-      p.hostname = "peer" + std::to_string(peer.value());
       p.cpu_ghz = 0.5 + 0.25 * static_cast<double>(rng() % 16);
       p.price = 0.25 + 0.25 * static_cast<double>(rng() % 8);
     }
@@ -181,15 +178,14 @@ class Harness {
     }
   }
 
-  /// Broker snapshot_group() twin at the current time.
+  /// The registry's snapshots at the current time, built beside the
+  /// index (the reference rankers' input).
   [[nodiscard]] std::vector<PeerSnapshot> snapshots() {
     std::vector<PeerSnapshot> out;
     out.reserve(peers_.size());
     for (auto& [peer, p] : peers_) {
       PeerSnapshot snap;
       snap.peer = p.peer;
-      snap.node = p.node;
-      snap.hostname = p.hostname;
       snap.cpu_ghz = p.cpu_ghz;
       snap.price_per_cpu_second = p.price;
       snap.online = (now_ - p.last_seen) <= kInterval * kMissed;
@@ -199,7 +195,7 @@ class Harness {
       snap.statistics = find_stats(peer);
       snap.history = &history_;
       snap.reputation = score_of(peer);
-      out.push_back(std::move(snap));
+      out.push_back(snap);
     }
     return out;
   }
@@ -280,11 +276,11 @@ std::string describe(std::uint64_t seed, int scenario, int petition,
 }
 
 /// Runs kScenariosPerModel fuzz scenarios. `make_model` builds the
-/// production model, `make_ref` its frozen reference twin,
-/// `allow_excludes` is off for blind (a non-empty exclude list is a
-/// documented fallback there, exercised in the fallback suite).
-/// `defended` adds reputation weights, re-scoring and long exclude
-/// lists (blind refuses a weight, so it has no defended arm).
+/// production model, `make_ref` its frozen reference twin.
+/// `allow_excludes` draws exclude lists; `defended` adds reputation
+/// weights, re-scoring and long exclude lists. Every petition must be
+/// walked except blind ones with excludes or a weight, which the model
+/// pass answers.
 template <typename MakeModel, typename MakeRef>
 void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
                    bool defended = false) {
@@ -299,6 +295,7 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
     std::mt19937_64 ref_rng(seed ^ 0x5bf0363546174861ull);
     auto model = make_model(model_rng);
     auto ref = make_ref(ref_rng);
+    const bool blind = dynamic_cast<BlindModel*>(model.get()) != nullptr;
     harness.bind(model.get());
     const int ops = 40 + static_cast<int>(rng() % 40);
     int petition = 0;
@@ -323,8 +320,9 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
           const std::size_t k = rng() % 5 + 1;
           const auto snaps = harness.snapshots();
           std::vector<PeerId> got;
-          ASSERT_TRUE(harness.index().try_select(ctx, harness.now(), k, got))
-              << "unexpected fallback, seed=" << seed << " scenario=" << scenario;
+          const bool walk = !blind || (ctx.exclude.empty() && ctx.reputation_weight == 0.0);
+          ASSERT_EQ(harness.index().select(ctx, harness.now(), k, got), walk)
+              << "unexpected path, seed=" << seed << " scenario=" << scenario;
           const auto want = peerlab::testing::ref_select_k(*ref, snaps, ctx, k);
           ASSERT_EQ(got, want) << describe(seed, scenario, petition, got, want);
           ++petition;
@@ -473,12 +471,26 @@ TEST(SelectionIndexEquivalence, HybridDefended) {
       /*allow_excludes=*/true, /*defended=*/true);
 }
 
+/// Blind petitions with excludes or a reputation weight (a defended
+/// broker's) cannot ride the id tree's rotation: the model pass must
+/// answer them exactly as the reference ranks, rotation cursor
+/// included, under the same liveness and statistics churn.
+TEST(SelectionIndexEquivalence, BlindModelPass) {
+  run_scenarios(
+      [](std::mt19937_64&) { return std::make_unique<BlindModel>(); },
+      [](std::mt19937_64&) { return std::make_unique<peerlab::testing::ReferenceBlind>(); },
+      /*allow_excludes=*/true, /*defended=*/true);
+}
+
 /// The walks' bounds assume a penalty never lowers a cost: a negative
-/// (or NaN) weight is refused to the scan, as is blind with any weight.
+/// (or NaN) weight goes to the model pass, as does blind with any
+/// weight, and the pass answers what the reference ranks.
 TEST(SelectionIndexEquivalence, RefusesNegativeReputationWeight) {
   Harness harness;
   DataEvaluatorModel model = DataEvaluatorModel::same_priority();
   harness.bind(&model);
+  peerlab::testing::ReferenceEvaluator reference =
+      peerlab::testing::ReferenceEvaluator::same_priority();
   std::mt19937_64 rng(testing::test_seed());
   for (int i = 0; i < 6; ++i) harness.heartbeat(rng);
   SelectionContext ctx;
@@ -486,23 +498,29 @@ TEST(SelectionIndexEquivalence, RefusesNegativeReputationWeight) {
   std::vector<PeerId> out{PeerId(99)};
   for (const double weight : {-1.0, -1e-300, std::nan("")}) {
     ctx.reputation_weight = weight;
-    EXPECT_FALSE(harness.index().try_select(ctx, harness.now(), 2, out)) << weight;
+    EXPECT_FALSE(harness.index().select(ctx, harness.now(), 2, out)) << weight;
+    // A NaN penalty leaves the models' order undefined; compare the rest.
+    if (std::isnan(weight)) continue;
+    EXPECT_EQ(out, peerlab::testing::ref_select_k(reference, harness.snapshots(), ctx, 2))
+        << weight;
   }
-  EXPECT_EQ(out, std::vector<PeerId>{PeerId(99)});  // untouched on refusal
   EXPECT_EQ(harness.index().scan_fallbacks(), 3u);
   ctx.reputation_weight = 0.0;
-  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 2, out));
+  EXPECT_TRUE(harness.index().select(ctx, harness.now(), 2, out));
   ctx.reputation_weight = 2.0;
-  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 2, out));
-  // k = 0 answers empty, like the scan's ranking truncated to nothing.
-  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 0, out));
+  EXPECT_TRUE(harness.index().select(ctx, harness.now(), 2, out));
+  // k = 0 answers empty, like the model's ranking truncated to nothing.
+  EXPECT_TRUE(harness.index().select(ctx, harness.now(), 0, out));
   EXPECT_TRUE(out.empty());
 
   BlindModel blind;
+  peerlab::testing::ReferenceBlind blind_reference;
   harness.bind(&blind);
-  EXPECT_FALSE(harness.index().try_select(ctx, harness.now(), 2, out));
+  EXPECT_FALSE(harness.index().select(ctx, harness.now(), 2, out));
+  EXPECT_EQ(out, peerlab::testing::ref_select_k(blind_reference, harness.snapshots(), ctx, 2));
   ctx.reputation_weight = 0.0;
-  EXPECT_TRUE(harness.index().try_select(ctx, harness.now(), 2, out));
+  EXPECT_TRUE(harness.index().select(ctx, harness.now(), 2, out));
+  EXPECT_EQ(harness.index().scan_fallbacks(), 4u);
 }
 
 }  // namespace

@@ -9,15 +9,17 @@
 #include "peerlab/core/economic.hpp"
 #include "peerlab/core/hybrid.hpp"
 #include "peerlab/core/user_preference.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
+
+using peerlab::testing::ranked;
 
 std::vector<PeerSnapshot> three_peers() {
   std::vector<PeerSnapshot> peers(3);
   for (std::size_t i = 0; i < 3; ++i) {
     peers[i].peer = PeerId(i + 1);
-    peers[i].node = NodeId(i + 1);
   }
   return peers;
 }
@@ -33,15 +35,6 @@ TEST(SelectionModel, SelectOnEmptyCandidatesIsInvalid) {
   BlindModel model;
   SelectionContext ctx;
   EXPECT_FALSE(model.select({}, ctx).valid());
-}
-
-TEST(SelectionModel, SelectKClampsToEligible) {
-  BlindModel model(BlindModel::Mode::kFirstAvailable);
-  const auto peers = three_peers();
-  SelectionContext ctx;
-  EXPECT_EQ(model.select_k(peers, ctx, 2).size(), 2u);
-  EXPECT_EQ(model.select_k(peers, ctx, 10).size(), 3u);
-  EXPECT_TRUE(model.select_k(peers, ctx, 0).empty());
 }
 
 TEST(SelectionModel, AppendRankedSortsAscendingWithIdTiebreak) {
@@ -73,15 +66,15 @@ TEST(SelectionModel, EveryModelHonoursTheExcludeList) {
       std::vector<PeerId>{PeerId(3), PeerId(1), PeerId(2)}));
   models.push_back(std::make_unique<HybridModel>());
   for (const auto& model : models) {
-    const auto ranked = model->rank(peers, ctx);
-    ASSERT_EQ(ranked.size(), 1u) << model->name();
-    EXPECT_EQ(ranked[0], PeerId(2)) << model->name();
+    const auto ranking = ranked(*model, peers, ctx);
+    ASSERT_EQ(ranking.size(), 1u) << model->name();
+    EXPECT_EQ(ranking[0], PeerId(2)) << model->name();
     EXPECT_EQ(model->select(peers, ctx), PeerId(2)) << model->name();
   }
   // Excluding everyone leaves nothing to select.
   ctx.exclude = {PeerId(1), PeerId(2), PeerId(3)};
   for (const auto& model : models) {
-    EXPECT_TRUE(model->rank(peers, ctx).empty()) << model->name();
+    EXPECT_TRUE(ranked(*model, peers, ctx).empty()) << model->name();
     EXPECT_FALSE(model->select(peers, ctx).valid()) << model->name();
   }
 }

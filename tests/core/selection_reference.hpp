@@ -7,7 +7,7 @@
 // bodies as of the introduction of the candidate index — the full
 // O(n) snapshot walk, unchanged arithmetic, arena scratch replaced by
 // plain vectors (the values and comparison order are identical). The
-// differential tests pin CandidateIndex::try_select() bit-identical to
+// differential tests pin CandidateIndex::select() bit-identical to
 // these, so any drift in either implementation fails loudly.
 //
 // Keep this file frozen: when a model's ranking logic changes on
@@ -409,7 +409,8 @@ class ReferenceHybrid {
   ReferenceEvaluator evaluator_;
 };
 
-/// select_k twin over any of the references.
+/// Any reference's ranking truncated to k (what CandidateIndex::select
+/// answers).
 template <typename Ranker>
 std::vector<PeerId> ref_select_k(Ranker& ranker, std::span<const PeerSnapshot> candidates,
                                  const SelectionContext& context, std::size_t k) {

@@ -3,16 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "peerlab/common/check.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
+
+using peerlab::testing::ranked;
 
 std::vector<PeerSnapshot> peers(std::initializer_list<std::uint64_t> ids) {
   std::vector<PeerSnapshot> out;
   for (const auto id : ids) {
     PeerSnapshot p;
     p.peer = PeerId(id);
-    p.node = NodeId(id);
     out.push_back(p);
   }
   return out;
@@ -22,7 +24,7 @@ TEST(UserPreference, ExplicitOrderIsHonoured) {
   UserPreferenceModel model({PeerId(3), PeerId(1), PeerId(2)});
   SelectionContext ctx;
   const auto candidates = peers({1, 2, 3});
-  const auto ranking = model.rank(candidates, ctx);
+  const auto ranking = ranked(model, candidates, ctx);
   ASSERT_EQ(ranking.size(), 3u);
   EXPECT_EQ(ranking[0], PeerId(3));
   EXPECT_EQ(ranking[1], PeerId(1));
@@ -33,7 +35,7 @@ TEST(UserPreference, UnlistedPeersRankAfterListedOnes) {
   UserPreferenceModel model({PeerId(5)});
   SelectionContext ctx;
   const auto candidates = peers({4, 5, 6});
-  const auto ranking = model.rank(candidates, ctx);
+  const auto ranking = ranked(model, candidates, ctx);
   ASSERT_EQ(ranking.size(), 3u);
   EXPECT_EQ(ranking[0], PeerId(5));
   EXPECT_EQ(ranking[1], PeerId(4));  // unlisted, by id
@@ -48,7 +50,7 @@ TEST(UserPreference, IgnoresCurrentPeerState) {
   candidates[0].queued_tasks = 50;
   candidates[0].active_transfers = 10;
   SelectionContext ctx;
-  EXPECT_EQ(model.rank(candidates, ctx).front(), PeerId(1));
+  EXPECT_EQ(ranked(model, candidates, ctx).front(), PeerId(1));
 }
 
 TEST(UserPreference, OfflinePeersStillExcluded) {
@@ -56,7 +58,7 @@ TEST(UserPreference, OfflinePeersStillExcluded) {
   auto candidates = peers({1, 2});
   candidates[0].online = false;
   SelectionContext ctx;
-  const auto ranking = model.rank(candidates, ctx);
+  const auto ranking = ranked(model, candidates, ctx);
   ASSERT_EQ(ranking.size(), 1u);
   EXPECT_EQ(ranking[0], PeerId(2));
 }
@@ -112,7 +114,7 @@ TEST(UserPreference, QuickPeerSnapshotIsStatic) {
   // The frozen model still prefers peer 1.
   SelectionContext ctx;
   const auto candidates = peers({1, 2});
-  EXPECT_EQ(model.rank(candidates, ctx).front(), PeerId(1));
+  EXPECT_EQ(ranked(model, candidates, ctx).front(), PeerId(1));
 }
 
 TEST(UserPreference, RejectsInvalidIdsInOrder) {

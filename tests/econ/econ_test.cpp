@@ -17,7 +17,6 @@ using core::SelectionContext;
 PeerSnapshot peer(std::uint64_t id, double price = 1.0, GigaHertz cpu = 1.0) {
   PeerSnapshot p;
   p.peer = PeerId(id);
-  p.node = NodeId(id);
   p.cpu_ghz = cpu;
   p.price_per_cpu_second = price;
   return p;

@@ -86,11 +86,9 @@ TEST(BrokerDefense, CounterpartyOutcomesFeedTheReputationBook) {
   EXPECT_DOUBLE_EQ(penalized,
                    1.0 - w.broker->reputation().config().failure_penalty);
   // ... and the defended snapshot carries the score into ranking.
-  const auto snapshots = w.broker->snapshot_group();
-  const auto it = std::find_if(snapshots.begin(), snapshots.end(),
-                               [&](const auto& s) { return s.peer == subject; });
-  ASSERT_NE(it, snapshots.end());
-  EXPECT_DOUBLE_EQ(it->reputation, penalized);
+  const auto snapshot = w.broker->candidate_index().snapshot(subject, w.sim.now());
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_DOUBLE_EQ(snapshot->reputation, penalized);
 
   // Counterparty-attributed history is trusted and applied.
   StatsDelta success;
@@ -158,8 +156,9 @@ TEST(BrokerDefense, DisabledDefensesTrustEveryReportWholesale) {
   EXPECT_EQ(w.broker->reputation().lies_recorded(), 0u);
   EXPECT_EQ(w.broker->history().transfers_for(liar).size(), 1u);
   EXPECT_TRUE(w.broker->history().mean_response_time(liar).has_value());
-  const auto snapshots = w.broker->snapshot_group();
-  for (const auto& s : snapshots) EXPECT_DOUBLE_EQ(s.reputation, 1.0);
+  for (const PeerId peer : w.broker->registered_clients()) {
+    EXPECT_DOUBLE_EQ(w.broker->candidate_index().snapshot(peer, w.sim.now())->reputation, 1.0);
+  }
 }
 
 }  // namespace

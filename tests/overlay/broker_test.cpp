@@ -61,11 +61,12 @@ TEST(Broker, RestartedClientComesBackOnline) {
 TEST(Broker, SnapshotsCarryProfileAndDynamicState) {
   OverlayWorld w;
   w.boot();
-  const auto snapshots = w.broker->snapshot_group();
-  ASSERT_EQ(snapshots.size(), 3u);
-  const auto& first = snapshots.front();
+  const auto& index = w.broker->candidate_index();
+  ASSERT_EQ(index.snapshots().size(), 3u);
+  const auto snapshot = index.snapshot(PeerId(2), w.sim.now());
+  ASSERT_TRUE(snapshot.has_value());
+  const auto& first = *snapshot;
   EXPECT_EQ(first.peer, PeerId(2));
-  EXPECT_EQ(first.hostname, "sc1.example");
   EXPECT_DOUBLE_EQ(first.cpu_ghz, 1.0);
   EXPECT_TRUE(first.online);
   EXPECT_TRUE(first.idle);

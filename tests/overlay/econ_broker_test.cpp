@@ -125,7 +125,7 @@ TEST(EconBroker, CostTimeAdmissionPicksTheCheapestQuote) {
   const econ::EconEngine quoter(enabled_engine());
   double best_cost = std::numeric_limits<double>::infinity();
   PeerId best;
-  for (const auto& snap : world.broker->snapshot_group()) {
+  for (const auto& snap : world.reference_snapshots()) {
     const double cost = quoter.appraise(snap, ctx).cost;
     if (cost < best_cost) {
       best_cost = cost;

@@ -11,6 +11,7 @@
 #include "peerlab/overlay/broker.hpp"
 #include "peerlab/overlay/client.hpp"
 #include "peerlab/overlay/primitives.hpp"
+#include "support/reference_snapshots.hpp"
 
 namespace peerlab::overlay::testing {
 
@@ -68,6 +69,12 @@ struct OverlayWorld {
   }
 
   ClientPeer& client(std::size_t i) { return *clients.at(i); }
+
+  /// The broker's registry as the frozen reference models rank it,
+  /// built independently of the broker's candidate index.
+  [[nodiscard]] std::vector<core::PeerSnapshot> reference_snapshots() const {
+    return peerlab::testing::reference_snapshots(*broker, network->topology());
+  }
 
   sim::Simulator sim;
   std::optional<net::Network> network;

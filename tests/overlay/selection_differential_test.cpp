@@ -1,16 +1,22 @@
 // Broker-level selection equivalence under churn and adversarial
 // stats interleavings, plus the failover-rebuild pin: a broker whose
 // candidate index answered from incremental state must return exactly
-// what the frozen scan reference computes from snapshot_group(), for
-// all five models, across ≥ 24 seeds — and an index rebuilt from
-// adopted (replicated) state must keep that property. Defended arms
-// turn the broker's reputation defenses on: the reference then applies
-// the broker's overlay itself (penalty weight, quarantine excludes, the
-// lift when they empty the set) and the index must still serve every
-// non-blind petition.
+// what the frozen scan reference computes from the reference snapshots
+// (tests/support/reference_snapshots.hpp, built from the broker's
+// registry without the index), for all five models, across ≥ 24 seeds
+// — and an index rebuilt from adopted (replicated) state must keep
+// that property. Defended arms turn the broker's reputation defenses
+// on: the reference then applies the broker's overlay itself (penalty
+// weight, quarantine excludes, the lift when they empty the set) and
+// the index must still walk every non-blind petition. Econ arms turn
+// the econ engine on and send constrained petitions, which the index's
+// model pass answers with the full ranking that admission re-ranks:
+// the reference's full ranking followed by a twin engine's
+// admit_and_rank over the reference snapshots.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
@@ -154,6 +160,16 @@ core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allo
   return ctx;
 }
 
+/// Makes `ctx` an econ-constrained petition: some mix of deadline,
+/// budget (tight enough that admission rejects some candidates) and an
+/// explicit objective, never none of them.
+void constrain(std::mt19937_64& rng, core::SelectionContext& ctx) {
+  if (rng() % 2 == 0) ctx.deadline = ctx.now + 5.0 + static_cast<double>(rng() % 600);
+  if (rng() % 2 == 0) ctx.budget = 0.05 * static_cast<double>(rng() % 400 + 1);
+  ctx.objective = static_cast<core::EconObjective>(rng() % 5);
+  if (!ctx.econ_constrained()) ctx.budget = 1e9;
+}
+
 /// The broker's reputation overlay, replayed on the reference: the
 /// penalty weight, the quarantined peers appended to the exclude list,
 /// and the quarantine lifted when it leaves no candidate.
@@ -171,19 +187,27 @@ std::vector<PeerId> defended_reference(ModelChoice choice, RefSet& refs, const B
   return picked;
 }
 
-void run_world(ModelChoice choice, std::uint64_t seed, bool defended) {
+void run_world(ModelChoice choice, std::uint64_t seed, bool defended, bool econ) {
   WorldOptions options;
   options.clients = kClients;
   options.seed = seed;
   options.broker_config.reputation.enabled = defended;
+  options.broker_config.econ.enabled = econ;
   OverlayWorld world(options);
   world.boot(2.0);
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
 
   RefSet refs;
   install(choice, *world.broker, refs);
+  // The admission twin: same config, fed the same assignment hints.
+  econ::EconEngine engine(options.broker_config.econ);
 
-  const bool allow_excludes = choice != ModelChoice::kBlind;
+  // Plain blind petitions walk the id tree, whose rotation cannot skip
+  // excluded peers; every other arm draws exclude lists.
+  const bool allow_excludes = choice != ModelChoice::kBlind || defended || econ;
+  // Constrained petitions and blind defended ones (a weight) all take
+  // the model pass; the rest must all be walked.
+  const bool model_pass = econ || (choice == ModelChoice::kBlind && defended);
   int compared = 0;
   Seconds t = world.sim.now();
   for (int step = 0; step < 120; ++step) {
@@ -204,30 +228,61 @@ void run_world(ModelChoice choice, std::uint64_t seed, bool defended) {
     t += 5.0 + static_cast<double>(rng() % 40);
     world.sim.run_until(t);
     if (rng() % 2 == 0) {
-      const auto ctx = fuzz_context(rng, world.sim.now(), allow_excludes, defended);
+      auto ctx = fuzz_context(rng, world.sim.now(), allow_excludes, defended);
+      if (econ) constrain(rng, ctx);
       const std::size_t k = rng() % 4 + 1;
-      const auto snaps = world.broker->snapshot_group();
-      const auto want = defended
-                            ? defended_reference(choice, refs, *world.broker, snaps, ctx, k)
-                            : reference_select(choice, refs, snaps, ctx, k);
+      const auto snaps = world.reference_snapshots();
+      // Admission needs the full ranking; without it, the top k.
+      const std::size_t depth = econ ? std::numeric_limits<std::size_t>::max() : k;
+      auto want = defended
+                      ? defended_reference(choice, refs, *world.broker, snaps, ctx, depth)
+                      : reference_select(choice, refs, snaps, ctx, depth);
+      if (econ) {
+        (void)engine.admit_and_rank(snaps, ctx, want);
+        if (want.size() > k) want.resize(k);
+        for (const PeerId peer : want) engine.note_assignment(peer, world.sim.now());
+      }
       const auto got = world.broker->select_peers(ctx, k);
       ASSERT_EQ(got, want) << "seed=" << seed << " step=" << step
                            << " model=" << static_cast<int>(choice)
-                           << " defended=" << defended;
+                           << " defended=" << defended << " econ=" << econ;
       ++compared;
     }
   }
   ASSERT_GT(compared, 10) << "seed=" << seed;
-  // The petitions above must have been answered by the index, not by
-  // silent fallback to the scan.
-  EXPECT_GT(world.broker->candidate_index().fast_path_selections(), 0u) << "seed=" << seed;
-  EXPECT_EQ(world.broker->candidate_index().scan_fallbacks(), 0u) << "seed=" << seed;
+  const auto& index = world.broker->candidate_index();
+  if (model_pass) {
+    EXPECT_EQ(index.fast_path_selections(), 0u) << "seed=" << seed;
+    EXPECT_GE(index.scan_fallbacks(), static_cast<std::uint64_t>(compared)) << "seed=" << seed;
+  } else {
+    // The petitions above must have been walked, not sent to the
+    // model pass.
+    EXPECT_GT(index.fast_path_selections(), 0u) << "seed=" << seed;
+    EXPECT_EQ(index.scan_fallbacks(), 0u) << "seed=" << seed;
+  }
+  const auto& engine_seen = world.broker->econ_engine();
+  EXPECT_EQ(engine_seen.petitions(), econ ? static_cast<std::uint64_t>(compared) : 0u)
+      << "seed=" << seed;
+  if (econ) {
+    // Admission both admitted and rejected candidates, so the arm
+    // exercises both halves of its partition.
+    EXPECT_GT(engine_seen.admitted(), 0u) << "seed=" << seed;
+    EXPECT_GT(engine_seen.rejected(), 0u) << "seed=" << seed;
+  }
 }
 
-void run_model(ModelChoice choice, bool defended = false) {
+void run_model(ModelChoice choice, bool defended = false, bool econ = false) {
   const std::uint64_t base = peerlab::testing::test_seed();
   for (int i = 0; i < kSeeds; ++i) {
-    run_world(choice, base + static_cast<std::uint64_t>(i), defended);
+    run_world(choice, base + static_cast<std::uint64_t>(i), defended, econ);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Both defense settings under the econ engine.
+void run_econ_model(ModelChoice choice) {
+  for (const bool defended : {false, true}) {
+    run_model(choice, defended, /*econ=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -252,9 +307,30 @@ TEST(SelectionDifferential, DefendedUserPreferenceUnderChurn) {
 TEST(SelectionDifferential, DefendedHybridUnderChurn) {
   run_model(ModelChoice::kHybrid, /*defended=*/true);
 }
+/// A defended blind broker weights every petition, so the model pass
+/// answers it, excludes included.
+TEST(SelectionDifferential, DefendedBlindUnderChurn) {
+  run_model(ModelChoice::kBlind, /*defended=*/true);
+}
 
-/// The online audit re-ranks sampled index-served selections with the
-/// scan under the same effective context, so a defended broker's
+TEST(SelectionDifferential, EconConstrainedBlindUnderChurn) {
+  run_econ_model(ModelChoice::kBlind);
+}
+TEST(SelectionDifferential, EconConstrainedEconomicUnderChurn) {
+  run_econ_model(ModelChoice::kEconomic);
+}
+TEST(SelectionDifferential, EconConstrainedEvaluatorUnderChurn) {
+  run_econ_model(ModelChoice::kEvaluator);
+}
+TEST(SelectionDifferential, EconConstrainedUserPreferenceUnderChurn) {
+  run_econ_model(ModelChoice::kUserPreference);
+}
+TEST(SelectionDifferential, EconConstrainedHybridUnderChurn) {
+  run_econ_model(ModelChoice::kHybrid);
+}
+
+/// The online audit re-ranks sampled walk-served selections with the
+/// model pass under the same effective context, so a defended broker's
 /// penalized, quarantine-excluding selections are audited too — and
 /// must agree.
 TEST(SelectionDifferential, DefendedSelectionsPassTheOnlineAudit) {
@@ -331,7 +407,7 @@ TEST(SelectionDifferential, IndexSurvivesAdoptedState) {
     install(choice, *standby.broker, standby_refs);
     standby.broker->adopt_state(primary.broker->export_state());
 
-    const auto snaps = standby.broker->snapshot_group();
+    const auto snaps = standby.reference_snapshots();
     ASSERT_FALSE(snaps.empty());
     for (int petition = 0; petition < 20; ++petition) {
       core::SelectionContext ctx = fuzz_context(rng, standby.sim.now(), true);

@@ -1,10 +1,10 @@
 // Fallback regressions around the candidate index: a defended broker
 // whose quarantine covers the whole registry must still answer (the
-// graceful all-quarantined lift, which the index serves like any other
+// graceful all-quarantined lift, which the index walks like any other
 // ranking), an exclude list covering the registry yields the same empty
 // ranking as the scan, an exclude list of any length stays on the
-// index, and blind with excludes routes to the scan with the fallback
-// counter moving.
+// walks, blind with excludes routes to the model pass with the fallback
+// counter moving, and a model-pass petition moves that counter alone.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,8 @@ TEST(SelectionFallback, AllQuarantinedStillAnswersOnDefendedBroker) {
     ASSERT_TRUE(world.broker->reputation().quarantined(peer, now));
   }
 
-  // Blind refuses a reputation weight, so the scan lifts the quarantine.
+  // Blind with a reputation weight takes the model pass, which lifts
+  // the quarantine.
   EXPECT_EQ(world.broker->select_peers(context_at(world.sim.now()), 1).size(), 1u);
   EXPECT_FALSE(world.broker->select_peers(context_at(world.sim.now()), 2).empty());
 
@@ -54,7 +55,7 @@ TEST(SelectionFallback, AllQuarantinedStillAnswersOnDefendedBroker) {
   const auto fast = index.fast_path_selections();
   core::SelectionContext lifted = context_at(world.sim.now());
   lifted.reputation_weight = options.broker_config.reputation.rank_penalty_weight;
-  const auto snaps = world.broker->snapshot_group();
+  const auto snaps = world.reference_snapshots();
   peerlab::testing::ReferenceEconomic reference;
   for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
     const auto got = world.broker->select_peers(context_at(world.sim.now()), k);
@@ -75,7 +76,7 @@ TEST(SelectionFallback, ExcludeCoveringRegistryYieldsEmptyLikeScan) {
   core::SelectionContext ctx = context_at(world.sim.now());
   for (int i = 0; i < options.clients; ++i) ctx.exclude.push_back(peer_of(NodeId(i + 2)));
 
-  const auto snaps = world.broker->snapshot_group();
+  const auto snaps = world.reference_snapshots();
   ASSERT_EQ(snaps.size(), 4u);
   const auto got = world.broker->select_peers(ctx, 3);
   peerlab::testing::ReferenceEconomic reference;
@@ -101,7 +102,7 @@ TEST(SelectionFallback, LongExcludeListIsServedByIndex) {
   ctx.exclude.push_back(peer_of(NodeId(3)));
   for (std::uint64_t i = 0; i < 65; ++i) ctx.exclude.push_back(PeerId(1000 + i));
 
-  const auto snaps = world.broker->snapshot_group();
+  const auto snaps = world.reference_snapshots();
   const auto& index = world.broker->candidate_index();
   const auto fallbacks = index.scan_fallbacks();
   const auto fast = index.fast_path_selections();
@@ -122,13 +123,54 @@ TEST(SelectionFallback, BlindWithExcludesFallsBackToScan) {
   core::SelectionContext ctx = context_at(world.sim.now());
   ctx.exclude.push_back(peer_of(NodeId(2)));
 
-  const auto snaps = world.broker->snapshot_group();
+  const auto snaps = world.reference_snapshots();
   const auto before = world.broker->candidate_index().scan_fallbacks();
   peerlab::testing::ReferenceBlind reference;
   const auto want = peerlab::testing::ref_select_k(reference, snaps, ctx, 2);
   const auto got = world.broker->select_peers(ctx, 2);
   EXPECT_GT(world.broker->candidate_index().scan_fallbacks(), before);
   EXPECT_EQ(got, want);
+}
+
+/// The model pass neither drains nor flushes the index: a petition it
+/// answers moves scan_fallbacks() by exactly one and leaves every walk
+/// counter where it was, even with re-keys pending, and answers what the
+/// reference ranks truncated to k.
+TEST(SelectionFallback, ModelPassMovesOnlyTheFallbackCounter) {
+  WorldOptions options;
+  options.clients = 5;
+  OverlayWorld world(options);
+  world.boot(2.0);
+  world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
+  (void)world.broker->select_peers(context_at(world.sim.now()), 2);  // flush the rebind
+  // Heartbeats since that walk leave re-keys pending.
+  world.sim.run_until(world.sim.now() + 60.0);
+
+  const auto& index = world.broker->candidate_index();
+  const auto fallbacks = index.scan_fallbacks();
+  const auto fast = index.fast_path_selections();
+  const auto rekeys = index.rekeys();
+  const auto rebuilds = index.rebuilds();
+  const auto pulls = index.bound_pulls();
+  const auto sweeps = index.dense_sweeps();
+
+  core::SelectionContext ctx = context_at(world.sim.now());
+  ctx.budget = 50.0;  // constrained; the engine is off, so no admission
+  const auto snaps = world.reference_snapshots();
+  const auto got = world.broker->select_peers(ctx, 3);
+  EXPECT_EQ(index.scan_fallbacks(), fallbacks + 1);
+  EXPECT_EQ(index.fast_path_selections(), fast);
+  EXPECT_EQ(index.rekeys(), rekeys);
+  EXPECT_EQ(index.rebuilds(), rebuilds);
+  EXPECT_EQ(index.bound_pulls(), pulls);
+  EXPECT_EQ(index.dense_sweeps(), sweeps);
+  peerlab::testing::ReferenceEconomic reference;
+  EXPECT_EQ(got, peerlab::testing::ref_select_k(reference, snaps, ctx, 3));
+  EXPECT_EQ(got.size(), 3u);
+
+  // The pending re-keys land on the next walk.
+  (void)world.broker->select_peers(context_at(world.sim.now()), 2);
+  EXPECT_GT(index.rekeys(), rekeys);
 }
 
 }  // namespace

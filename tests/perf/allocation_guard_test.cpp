@@ -183,21 +183,19 @@ TEST(AllocationGuard, FlowSchedulerSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocationGuard, SelectionModelsPetitionPathIsAllocationFree) {
-  // Synthetic candidate pool; everything that allocates (hostnames,
-  // the snapshot vector itself) is built before the guard arms.
+  // Synthetic candidate pool; everything that allocates (the snapshot
+  // vector itself) is built before the guard arms.
   std::vector<core::PeerSnapshot> pool;
   std::vector<PeerId> preference;
   for (int i = 0; i < 16; ++i) {
     core::PeerSnapshot s;
     s.peer = PeerId(static_cast<std::uint64_t>(i + 1));
-    s.node = NodeId(static_cast<std::uint64_t>(i + 100));
-    s.hostname = "peer-" + std::to_string(i);
     s.cpu_ghz = 1.0 + (i % 5) * 0.6;
     s.price_per_cpu_second = 0.5 + (i % 3) * 0.25;
     s.idle = i % 4 != 0;
     s.queued_tasks = i % 3;
     s.active_transfers = i % 2;
-    pool.push_back(std::move(s));
+    pool.push_back(s);
     preference.push_back(PeerId(static_cast<std::uint64_t>(i + 1)));
   }
 

@@ -36,6 +36,10 @@ static_assert(alignof(sim::detail::EventSlot) == 64);
 static_assert(sizeof(core::ScoredPeer) == 16);
 static_assert(std::is_trivially_copyable_v<core::ScoredPeer>);
 
+// The candidate index copies a PeerSnapshot per lookup and the econ
+// engine one per appraisal: plain data, no string or heap member.
+static_assert(std::is_trivially_copyable_v<core::PeerSnapshot>);
+
 // small_vector must not pad its inline buffer: N inline elements, the
 // pointer/size/capacity header, and nothing else.
 static_assert(sizeof(mem::small_vector<std::uint64_t, 8>) ==

@@ -122,7 +122,6 @@ std::vector<PeerSnapshot> random_candidates(sim::Rng& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     PeerSnapshot p;
     p.peer = PeerId(i + 1);
-    p.node = NodeId(i + 1);
     p.cpu_ghz = rng.uniform(0.3, 3.0);
     p.price_per_cpu_second = rng.uniform(0.1, 5.0);
     p.idle = rng.bernoulli(0.6);

@@ -21,9 +21,12 @@
 #include "peerlab/core/user_preference.hpp"
 #include "peerlab/sim/rng.hpp"
 #include "support/test_seed.hpp"
+#include "support/ranking.hpp"
 
 namespace peerlab::core {
 namespace {
+
+using peerlab::testing::ranked;
 
 struct Population {
   std::deque<stats::PeerStatistics> statistics;
@@ -66,7 +69,6 @@ Population random_population(std::uint64_t seed, int n) {
 
     PeerSnapshot snap;
     snap.peer = peer;
-    snap.node = NodeId(static_cast<std::uint64_t>(i + 1));
     snap.cpu_ghz = rng.uniform(0.8, 3.0);
     snap.price_per_cpu_second = rng.uniform(0.5, 3.0);
     snap.online = rng.bernoulli(0.85);
@@ -109,14 +111,14 @@ TEST_P(SelectionInvariantsTest, DeterministicAndPermutationInvariant) {
   const auto ctx = random_context(seed);
 
   for (auto& model : stateless_models(pop)) {
-    const auto first = model->rank(pop.snapshots, ctx);
-    const auto second = model->rank(pop.snapshots, ctx);
+    const auto first = ranked(*model, pop.snapshots, ctx);
+    const auto second = ranked(*model, pop.snapshots, ctx);
     EXPECT_EQ(first, second) << model->name() << " is nondeterministic";  // (S1)
 
     auto shuffled = pop.snapshots;
     sim::Rng rng(seed + 1);
     rng.shuffle(shuffled);
-    const auto third = model->rank(shuffled, ctx);
+    const auto third = ranked(*model, shuffled, ctx);
     EXPECT_EQ(first, third) << model->name() << " depends on candidate order";  // (S2)
   }
 }
@@ -133,7 +135,7 @@ TEST_P(SelectionInvariantsTest, RankingsAreExactlyTheOnlinePeers) {
   std::sort(online.begin(), online.end());
 
   for (auto& model : stateless_models(pop)) {
-    auto ranking = model->rank(pop.snapshots, ctx);
+    auto ranking = ranked(*model, pop.snapshots, ctx);
     // (S3)+(S4): possibly filtered further (economic prefer-idle), but
     // never duplicated, never offline, never unknown.
     auto sorted = ranking;
@@ -147,9 +149,9 @@ TEST_P(SelectionInvariantsTest, RankingsAreExactlyTheOnlinePeers) {
   }
   // Data evaluator and user preference rank *all* online peers.
   DataEvaluatorModel evaluator = DataEvaluatorModel::same_priority();
-  EXPECT_EQ(evaluator.rank(pop.snapshots, ctx).size(), online.size());
+  EXPECT_EQ(ranked(evaluator, pop.snapshots, ctx).size(), online.size());
   UserPreferenceModel preference({});
-  EXPECT_EQ(preference.rank(pop.snapshots, ctx).size(), online.size());
+  EXPECT_EQ(ranked(preference, pop.snapshots, ctx).size(), online.size());
 }
 
 TEST_P(SelectionInvariantsTest, EconomicLoadDominance) {
@@ -162,7 +164,7 @@ TEST_P(SelectionInvariantsTest, EconomicLoadDominance) {
   cfg.prefer_idle = false;  // keep every candidate comparable
   EconomicSchedulingModel model(cfg);
 
-  const auto before = model.rank(pop.snapshots, ctx);
+  const auto before = ranked(model, pop.snapshots, ctx);
   if (before.size() < 2) return;
   // Worsen the top peer's load drastically: it must not stay strictly
   // ahead of everyone (S5) — its rank can only degrade or stay equal,
@@ -175,7 +177,7 @@ TEST_P(SelectionInvariantsTest, EconomicLoadDominance) {
       snap.active_transfers += 10;
     }
   }
-  const auto after = model.rank(pop.snapshots, ctx);
+  const auto after = ranked(model, pop.snapshots, ctx);
   const auto pos_before =
       std::find(before.begin(), before.end(), victim) - before.begin();
   const auto pos_after = std::find(after.begin(), after.end(), victim) - after.begin();
