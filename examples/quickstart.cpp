@@ -30,8 +30,7 @@ int main() {
   api.discover_peers([](std::vector<jxta::Advertisement> peers) {
     std::printf("discovered %zu peers:\n", peers.size());
     for (const auto& adv : peers) {
-      std::printf("  %-28s cpu=%.1f GHz\n", adv.name.c_str(),
-                  adv.numeric_attribute("cpu_ghz", 0.0));
+      std::printf("  %-28s cpu=%.1f GHz\n", adv.name.c_str(), adv.cpu_ghz);
     }
   });
 

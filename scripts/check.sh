@@ -12,6 +12,11 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -j "$(nproc)" --timeout 180 --output-on-failure
+# Parametrized test names must be build-stable: no raw parameter bytes.
+if ctest --test-dir build -N | grep 'byte object'; then
+  echo "check.sh: parametrized test names print raw parameter bytes" >&2
+  exit 1
+fi
 
 cmake -B build-asan -S . -DPEERLAB_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$(nproc)" \
@@ -39,6 +44,9 @@ build-asan/tests/test_econ
 # econ property suite pins the zero-perturbation contract (engine off
 # or unconstrained == pristine, byte for byte).
 ctest --test-dir build-asan -L property -j "$(nproc)" --timeout 600 --output-on-failure
+# A base seed whose scenarios once drew no petition at all.
+PEERLAB_TEST_SEED=99999 ctest --test-dir build-asan -L property -R SelectionIndexEquivalence \
+  -j "$(nproc)" --timeout 600 --output-on-failure
 build-asan/bench/bench_churn --reps 1
 build-asan/bench/bench_adversarial --reps 1
 build-asan/bench/bench_economic --reps 1

@@ -12,8 +12,6 @@ std::string render(const char* prefix, std::uint64_t value) {
 
 std::string to_string(NodeId id) { return render("node", id.value()); }
 std::string to_string(PeerId id) { return render("peer", id.value()); }
-std::string to_string(PipeId id) { return render("pipe", id.value()); }
-std::string to_string(GroupId id) { return render("group", id.value()); }
 std::string to_string(MessageId id) { return render("msg", id.value()); }
 std::string to_string(TaskId id) { return render("task", id.value()); }
 std::string to_string(TransferId id) { return render("xfer", id.value()); }

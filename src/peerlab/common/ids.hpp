@@ -3,7 +3,7 @@
 // Strongly typed identifiers used across peerlab.
 //
 // Every subsystem names its entities with a distinct Id type so that a
-// NodeId can never be passed where a PipeId is expected. Ids are cheap
+// NodeId can never be passed where a PeerId is expected. Ids are cheap
 // value types (a 64-bit integer) with hashing and ordering, suitable as
 // map keys. Fresh ids are minted from an IdAllocator owned by whoever
 // creates the entity (typically the Simulator world), which keeps id
@@ -41,8 +41,6 @@ class Id {
 
 struct NodeTag {};
 struct PeerTag {};
-struct PipeTag {};
-struct GroupTag {};
 struct MessageTag {};
 struct TaskTag {};
 struct TransferTag {};
@@ -53,10 +51,6 @@ struct AdvertisementTag {};
 using NodeId = Id<NodeTag>;
 /// A logical JXTA peer (broker or client) living on a node.
 using PeerId = Id<PeerTag>;
-/// A JXTA unicast pipe between two peers.
-using PipeId = Id<PipeTag>;
-/// A JXTA peergroup.
-using GroupId = Id<GroupTag>;
 /// A transport-level message.
 using MessageId = Id<MessageTag>;
 /// An executable task submitted through the overlay.
@@ -83,8 +77,6 @@ class IdAllocator {
 /// Renders an id for logs, e.g. "peer#42"; defined per family.
 std::string to_string(NodeId id);
 std::string to_string(PeerId id);
-std::string to_string(PipeId id);
-std::string to_string(GroupId id);
 std::string to_string(MessageId id);
 std::string to_string(TaskId id);
 std::string to_string(TransferId id);

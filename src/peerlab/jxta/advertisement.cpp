@@ -1,44 +1,19 @@
 #include "peerlab/jxta/advertisement.hpp"
 
-#include <cstdlib>
-
 namespace peerlab::jxta {
 
 const char* to_string(AdvertisementKind kind) noexcept {
   switch (kind) {
     case AdvertisementKind::kPeer: return "peer";
-    case AdvertisementKind::kPipe: return "pipe";
-    case AdvertisementKind::kPeerGroup: return "peergroup";
     case AdvertisementKind::kContent: return "content";
-    case AdvertisementKind::kModule: return "module";
   }
   return "?";
-}
-
-std::optional<std::string> Advertisement::attribute(const std::string& key) const {
-  const auto it = attributes.find(key);
-  if (it == attributes.end()) return std::nullopt;
-  return it->second;
-}
-
-double Advertisement::numeric_attribute(const std::string& key, double fallback) const {
-  const auto value = attribute(key);
-  if (!value) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str()) return fallback;
-  return parsed;
 }
 
 bool AdvertisementQuery::matches(const Advertisement& adv, Seconds now) const {
   if (adv.kind != kind) return false;
   if (adv.expired(now)) return false;
-  if (!name.empty() && adv.name != name) return false;
-  for (const auto& [key, expected] : attribute_equals) {
-    const auto actual = adv.attribute(key);
-    if (!actual || *actual != expected) return false;
-  }
-  return true;
+  return name.empty() || adv.name == name;
 }
 
 }  // namespace peerlab::jxta

@@ -2,14 +2,12 @@
 
 // JXTA advertisements.
 //
-// In JXTA every discoverable entity — peer, pipe, peergroup, shared
-// content — announces itself with an XML advertisement carrying a
-// lifetime. peerlab keeps the same shape (kind + name + attribute map +
-// expiry) without the XML: the selection experiments only care about
-// what can be discovered and when it expires.
+// In JXTA every discoverable entity announces itself with an XML
+// advertisement carrying a lifetime. peerlab keeps the shape (kind +
+// name + expiry) without the XML, and carries the one fact each kind
+// announces as a typed field: the selection experiments only care
+// about what can be discovered and when it expires.
 
-#include <map>
-#include <optional>
 #include <string>
 
 #include "peerlab/common/ids.hpp"
@@ -18,11 +16,8 @@
 namespace peerlab::jxta {
 
 enum class AdvertisementKind : std::uint8_t {
-  kPeer,       // a live peer (node + capabilities)
-  kPipe,       // an input pipe another peer can bind to
-  kPeerGroup,  // a peergroup that can be joined
-  kContent,    // shared file/data
-  kModule,     // a service implementation (task executor etc.)
+  kPeer,     // a live peer (node + CPU)
+  kContent,  // shared file/data
 };
 
 [[nodiscard]] const char* to_string(AdvertisementKind kind) noexcept;
@@ -34,25 +29,22 @@ struct Advertisement {
   PeerId publisher;
   /// The node the publisher lives on (resolution target).
   NodeId home;
-  /// Human-meaningful name, e.g. a hostname or pipe name.
+  /// Human-meaningful name, e.g. a hostname or a file name.
   std::string name;
-  /// Free-form typed attributes ("cpu_ghz" -> "1.2", ...).
-  std::map<std::string, std::string> attributes;
+  /// kPeer: the publisher's CPU speed.
+  double cpu_ghz = 0.0;
+  /// kContent: the shared content's size.
+  Bytes size = 0;
   Seconds published_at = 0.0;
   Seconds expires_at = 0.0;
 
   [[nodiscard]] bool expired(Seconds now) const noexcept { return now >= expires_at; }
-
-  [[nodiscard]] std::optional<std::string> attribute(const std::string& key) const;
-  [[nodiscard]] double numeric_attribute(const std::string& key, double fallback) const;
 };
 
 /// Query predicate: kind always matches exactly; empty name matches any.
 struct AdvertisementQuery {
   AdvertisementKind kind = AdvertisementKind::kPeer;
   std::string name;  // exact match when non-empty
-  /// Attribute constraints that must all be present and equal.
-  std::map<std::string, std::string> attribute_equals;
 
   [[nodiscard]] bool matches(const Advertisement& adv, Seconds now) const;
 };

@@ -1,6 +1,5 @@
 #include "peerlab/jxta/discovery.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "peerlab/common/check.hpp"
@@ -8,8 +7,6 @@
 namespace peerlab::jxta {
 
 namespace {
-constexpr std::size_t kMaxParked = 1024;
-
 transport::RetryPolicy discovery_retry() {
   transport::RetryPolicy p;
   p.initial_timeout = 10.0;
@@ -30,43 +27,6 @@ RendezvousIndex* RendezvousDirectory::find(NodeId node) const noexcept {
   return it == indexes_.end() ? nullptr : it->second;
 }
 
-std::uint64_t RendezvousDirectory::park(std::vector<Advertisement> payload) {
-  const std::uint64_t ticket = ++next_ticket_;
-  parked_.emplace(ticket, std::move(payload));
-  order_.push_back(ticket);
-  while (order_.size() > kMaxParked) {
-    parked_.erase(order_.front());
-    order_.pop_front();
-  }
-  return ticket;
-}
-
-std::vector<Advertisement> RendezvousDirectory::claim(std::uint64_t ticket) {
-  const auto it = parked_.find(ticket);
-  if (it == parked_.end()) return {};
-  std::vector<Advertisement> payload = std::move(it->second);
-  parked_.erase(it);
-  return payload;
-}
-
-std::uint64_t RendezvousDirectory::park_query(AdvertisementQuery query) {
-  const std::uint64_t ticket = ++next_ticket_;
-  queries_.emplace(ticket, std::move(query));
-  query_order_.push_back(ticket);
-  while (query_order_.size() > kMaxParked) {
-    queries_.erase(query_order_.front());
-    query_order_.pop_front();
-  }
-  return ticket;
-}
-
-const AdvertisementQuery* RendezvousDirectory::peek_query(std::uint64_t ticket) const {
-  const auto it = queries_.find(ticket);
-  return it == queries_.end() ? nullptr : &it->second;
-}
-
-void RendezvousDirectory::release_query(std::uint64_t ticket) { queries_.erase(ticket); }
-
 DiscoveryService::DiscoveryService(transport::Endpoint& endpoint,
                                    RendezvousDirectory& directory, PeerId self,
                                    NodeId rendezvous)
@@ -86,20 +46,14 @@ void DiscoveryService::publish(Advertisement adv, Seconds lifetime) {
   adv.publisher = self_;
   adv.published_at = endpoint_.fabric().simulator().now();
   adv.expires_at = adv.published_at + lifetime;
-  adv.id = local_ids_.next();
 
-  // Replace any local edition of the same (kind, name).
-  const auto same = [&adv](const Advertisement& other) {
-    return other.kind == adv.kind && other.name == adv.name && other.publisher == adv.publisher;
-  };
-  local_.erase(std::remove_if(local_.begin(), local_.end(), same), local_.end());
-  local_.push_back(adv);
-
-  // Push to the rendezvous: the datagram delay models the publish
-  // round; the index mutation happens at arrival time.
+  // The datagram delay models the publish round; the index mutation
+  // happens at arrival time. The index copies the advert rather than
+  // moving it out of the capture, so the arrival stays safe to run
+  // again (a duplicated datagram delivers a second time).
   endpoint_.fabric().network().send_datagram(
       endpoint_.node(), rendezvous_, transport::nominal_size(transport::MessageType::kStatsReport),
-      [this, adv] {
+      [this, adv = std::move(adv)] {
         if (RendezvousIndex* index = directory_.find(rendezvous_)) {
           if (!adv.expired(endpoint_.fabric().simulator().now())) {
             index->publish(adv);
@@ -108,41 +62,21 @@ void DiscoveryService::publish(Advertisement adv, Seconds lifetime) {
       });
 }
 
-std::vector<Advertisement> DiscoveryService::lookup_local(
-    const AdvertisementQuery& query) const {
-  const Seconds now = endpoint_.fabric().simulator().now();
-  std::vector<Advertisement> out;
-  for (const auto& adv : local_) {
-    if (query.matches(adv, now)) out.push_back(adv);
-  }
-  return out;
-}
-
-void DiscoveryService::query_remote(const AdvertisementQuery& query, QueryCallback done) {
-  query_remote(query, /*hop=*/0, std::move(done));
-}
-
-void DiscoveryService::query_remote(const AdvertisementQuery& query, std::int64_t hop,
-                                    QueryCallback done) {
-  query_remote(query, hop, obs::trace::TraceContext{}, std::move(done));
-}
-
-void DiscoveryService::query_remote(const AdvertisementQuery& query, std::int64_t hop,
-                                    const obs::trace::TraceContext& trace,
-                                    QueryCallback done) {
+void DiscoveryService::query_remote(const AdvertisementQuery& query, QueryCallback done,
+                                    std::int64_t hop) {
   PEERLAB_CHECK_MSG(static_cast<bool>(done), "query callback required");
   // The control plane carries no structured payloads; the query body
   // travels via a parked ticket the rendezvous peeks at.
-  const std::uint64_t query_ticket = directory_.park_query(query);
+  const std::uint64_t query_ticket = directory_.queries.park(query);
   query_channel_.request(
-      rendezvous_, query_ticket, hop, trace,
+      rendezvous_, query_ticket, hop,
       [this, query_ticket, done = std::move(done)](const transport::RequestOutcome& outcome) {
-        directory_.release_query(query_ticket);
+        directory_.queries.release(query_ticket);
         if (!outcome.ok) {
           done({});
           return;
         }
-        done(directory_.claim(static_cast<std::uint64_t>(outcome.response.arg)));
+        done(directory_.results.claim(static_cast<std::uint64_t>(outcome.response.arg)));
       });
 }
 
@@ -157,23 +91,14 @@ void DiscoveryService::serve_rendezvous_queries() {
 void DiscoveryService::serve_rendezvous_queries(QueryResolver resolver) {
   PEERLAB_CHECK_MSG(static_cast<bool>(resolver), "resolver required");
   query_channel_.serve([this, resolver](const transport::Message& m) {
-    const AdvertisementQuery* parked = directory_.peek_query(m.correlation);
+    const AdvertisementQuery* parked = directory_.queries.peek(m.correlation);
     const AdvertisementQuery query = parked != nullptr ? *parked : AdvertisementQuery{};
     resolver(query, m.arg, [this, m](std::vector<Advertisement> results) {
-      const std::uint64_t ticket = directory_.park(std::move(results));
+      const std::uint64_t ticket = directory_.results.park(std::move(results));
       endpoint_.reply(m, transport::MessageType::kDiscoveryResponse,
                       static_cast<std::int64_t>(ticket));
     });
   });
-}
-
-std::size_t DiscoveryService::sweep_local() {
-  const Seconds now = endpoint_.fabric().simulator().now();
-  const auto before = local_.size();
-  local_.erase(std::remove_if(local_.begin(), local_.end(),
-                              [now](const Advertisement& a) { return a.expired(now); }),
-               local_.end());
-  return before - local_.size();
 }
 
 }  // namespace peerlab::jxta

@@ -1,47 +1,29 @@
 #include "peerlab/jxta/rendezvous.hpp"
 
-#include <utility>
+#include <algorithm>
 
 #include "peerlab/common/check.hpp"
 
 namespace peerlab::jxta {
 
-std::string RendezvousIndex::key_of(PeerId publisher, AdvertisementKind kind,
-                                    const std::string& name) {
-  return std::to_string(publisher.value()) + "/" + to_string(kind) + "/" + name;
-}
-
-AdvertisementId RendezvousIndex::publish(Advertisement adv) {
+AdvertisementId RendezvousIndex::publish(const Advertisement& adv) {
   PEERLAB_CHECK_MSG(adv.publisher.valid(), "advertisement needs a publisher");
   PEERLAB_CHECK_MSG(adv.expires_at > sim_.now(), "advertisement already expired");
-  ++publishes_;
-  adv.id = ids_.next();
-  adv.published_at = sim_.now();
-  const AdvertisementId id = adv.id;
-  adverts_[key_of(adv.publisher, adv.kind, adv.name)] = std::move(adv);
-  return id;
-}
-
-bool RendezvousIndex::revoke(PeerId publisher, AdvertisementKind kind,
-                             const std::string& name) {
-  return adverts_.erase(key_of(publisher, kind, name)) > 0;
-}
-
-std::size_t RendezvousIndex::revoke_all(PeerId publisher) {
-  std::size_t removed = 0;
-  for (auto it = adverts_.begin(); it != adverts_.end();) {
-    if (it->second.publisher == publisher) {
-      it = adverts_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+  key_.clear();
+  key_.append(std::to_string(adv.publisher.value())).append("/");
+  key_.append(to_string(adv.kind)).append("/").append(adv.name);
+  auto it = adverts_.find(key_);
+  if (it == adverts_.end()) {
+    it = adverts_.emplace(key_, adv).first;
+  } else {
+    it->second = adv;
   }
-  return removed;
+  it->second.id = ids_.next();
+  it->second.published_at = sim_.now();
+  return it->second.id;
 }
 
 std::vector<Advertisement> RendezvousIndex::query(const AdvertisementQuery& query) const {
-  ++queries_;
   std::vector<Advertisement> out;
   for (const auto& [key, adv] : adverts_) {
     if (query.matches(adv, sim_.now())) {
@@ -52,19 +34,6 @@ std::vector<Advertisement> RendezvousIndex::query(const AdvertisementQuery& quer
   std::sort(out.begin(), out.end(),
             [](const Advertisement& a, const Advertisement& b) { return a.id < b.id; });
   return out;
-}
-
-std::size_t RendezvousIndex::sweep() {
-  std::size_t swept = 0;
-  for (auto it = adverts_.begin(); it != adverts_.end();) {
-    if (it->second.expired(sim_.now())) {
-      it = adverts_.erase(it);
-      ++swept;
-    } else {
-      ++it;
-    }
-  }
-  return swept;
 }
 
 }  // namespace peerlab::jxta

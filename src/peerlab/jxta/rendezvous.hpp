@@ -2,9 +2,11 @@
 
 // Rendezvous service: the advertisement index a JXTA rendezvous peer
 // (our Broker) maintains for its edge peers. Edge peers push their
-// advertisements here and route discovery queries through it.
-// Expiry is lazy (checked on query) plus an explicit sweep.
+// advertisements here and route discovery queries through it. Expiry
+// is lazy: expired editions are filtered out at query time and
+// replaced by the next publish.
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,36 +19,21 @@ class RendezvousIndex {
  public:
   explicit RendezvousIndex(sim::Simulator& sim) : sim_(sim) {}
 
-  /// Stores (or refreshes) an advertisement. An advert with the same
-  /// publisher + kind + name replaces the previous edition.
-  AdvertisementId publish(Advertisement adv);
+  /// Stores (or refreshes) a copy of an advertisement. An advert with
+  /// the same publisher + kind + name replaces the previous edition.
+  AdvertisementId publish(const Advertisement& adv);
 
-  /// Removes a publisher's advertisement of the given kind and name.
-  /// Returns true when something was removed.
-  bool revoke(PeerId publisher, AdvertisementKind kind, const std::string& name);
-
-  /// Removes everything a peer ever published (peer departure/churn).
-  std::size_t revoke_all(PeerId publisher);
-
-  /// All live advertisements matching the query.
+  /// All live advertisements matching the query, in publish order.
   [[nodiscard]] std::vector<Advertisement> query(const AdvertisementQuery& query) const;
 
-  /// Drops expired entries; returns how many were swept.
-  std::size_t sweep();
-
   [[nodiscard]] std::size_t size() const noexcept { return adverts_.size(); }
-  [[nodiscard]] std::uint64_t publishes() const noexcept { return publishes_; }
-  [[nodiscard]] std::uint64_t queries() const noexcept { return queries_; }
 
  private:
-  [[nodiscard]] static std::string key_of(PeerId publisher, AdvertisementKind kind,
-                                          const std::string& name);
-
   sim::Simulator& sim_;
   std::unordered_map<std::string, Advertisement> adverts_;
+  /// Reused key buffer: a republish finds its edition without allocating.
+  std::string key_;
   IdAllocator<AdvertisementId> ids_;
-  std::uint64_t publishes_ = 0;
-  mutable std::uint64_t queries_ = 0;
 };
 
 }  // namespace peerlab::jxta

@@ -26,7 +26,6 @@ BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
       config_(config),
       rendezvous_(fabric.simulator()),
       discovery_(endpoint_, directories.rendezvous, peer_of(node), node),
-      membership_(endpoint_, directories.groups, peer_of(node), node),
       history_(config.history_capacity),
       reputation_(config.reputation),
       econ_(config.econ),
@@ -44,9 +43,7 @@ BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
     index_.set_reputation([this](PeerId peer) { return reputation_.score(peer, sim().now()); });
   }
   directories_.rendezvous.enroll(node_, rendezvous_);
-  directories_.groups.enroll(node_, groups_);
   discovery_.serve_rendezvous_queries();
-  membership_.serve_registry();
   select_channel_.serve([this](const transport::Message& m) { serve_selection(m); });
   endpoint_.set_handler(transport::MessageType::kHeartbeat,
                         [this](const transport::Message& m) { on_heartbeat(m); });
@@ -56,7 +53,6 @@ BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
 
 BrokerPeer::~BrokerPeer() {
   directories_.rendezvous.withdraw(node_);
-  directories_.groups.withdraw(node_);
   endpoint_.clear_handler(transport::MessageType::kHeartbeat);
   endpoint_.clear_handler(transport::MessageType::kStatsReport);
 }
@@ -364,7 +360,7 @@ void BrokerPeer::forward_query(const jxta::AdvertisementQuery& query, std::size_
   // request is being issued; re-point, fire, restore.
   discovery_.set_rendezvous(peer_brokers_[peer_index]);
   discovery_.query_remote(
-      query, /*hop=*/1,
+      query,
       [this, query, peer_index, accumulated, done](std::vector<jxta::Advertisement> found) {
         for (auto& adv : found) accumulated->push_back(std::move(adv));
         if (!accumulated->empty()) {
@@ -372,7 +368,8 @@ void BrokerPeer::forward_query(const jxta::AdvertisementQuery& query, std::size_
           return;
         }
         forward_query(query, peer_index + 1, accumulated, done);
-      });
+      },
+      /*hop=*/1);
   discovery_.set_rendezvous(node_);
 }
 

@@ -2,13 +2,12 @@
 
 // BrokerPeer — the "governor of the P2P network" (Section 3).
 //
-// The broker hosts the JXTA rendezvous index and the peergroup
-// registry, keeps the per-peer statistics and the peergroup's
-// historical data, tracks client liveness through heartbeats, and
-// answers peer-selection requests with whichever SelectionModel is
-// plugged in. Clients talk to it exclusively over the simulated
-// control plane; structured payloads ride the directories' ticket
-// stores.
+// The broker hosts the JXTA rendezvous index, keeps the per-peer
+// statistics and the peergroup's historical data, tracks client
+// liveness through heartbeats, and answers peer-selection requests
+// with whichever SelectionModel is plugged in. Clients talk to it
+// exclusively over the simulated control plane; structured payloads
+// ride the directories' ticket stores.
 
 #include <memory>
 
@@ -57,8 +56,6 @@ class BrokerPeer {
 
   // ---- hosted subsystems ----
   [[nodiscard]] jxta::RendezvousIndex& rendezvous() noexcept { return rendezvous_; }
-  [[nodiscard]] jxta::PeerGroupRegistry& groups() noexcept { return groups_; }
-  [[nodiscard]] const jxta::PeerGroupRegistry& groups() const noexcept { return groups_; }
   /// Current simulated time as the broker sees it.
   [[nodiscard]] Seconds now() const noexcept { return sim().now(); }
   [[nodiscard]] stats::HistoryStore& history() noexcept { return history_; }
@@ -149,7 +146,7 @@ class BrokerPeer {
   // ---- broker federation ----
   /// Federates with another broker: discovery queries that miss the
   /// local rendezvous are forwarded one hop to peer brokers and the
-  /// first non-empty answer wins. Registration, statistics, groups and
+  /// first non-empty answer wins. Registration, statistics and
   /// selection remain per-broker (each broker governs its own edge
   /// peers), matching JXTA-Overlay's multiple-broker deployment.
   void federate_with(NodeId peer_broker);
@@ -224,9 +221,7 @@ class BrokerPeer {
   BrokerConfig config_;
   Metrics m_;
   jxta::RendezvousIndex rendezvous_;
-  jxta::PeerGroupRegistry groups_;
   jxta::DiscoveryService discovery_;
-  jxta::GroupMembership membership_;
   stats::HistoryStore history_;
   ReputationBook reputation_;
   econ::EconEngine econ_;

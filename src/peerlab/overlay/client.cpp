@@ -10,13 +10,11 @@ namespace peerlab::overlay {
 
 using obs::trace::TraceKind;
 
-const char* to_string(ClientKind kind) noexcept {
-  switch (kind) {
-    case ClientKind::kSimpleClient: return "simpleclient";
-    case ClientKind::kGuiClient: return "client";
-  }
-  return "?";
-}
+namespace {
+/// Peer advertisement lifetime: four heartbeats at the default period,
+/// so a few lost republishes never drop a live peer from discovery.
+constexpr Seconds kAdvertLifetime = 120.0;
+}  // namespace
 
 ClientPeer::ClientPeer(transport::TransportFabric& fabric, NodeId node, NodeId broker_node,
                        OverlayDirectories& directories, ClientConfig config)
@@ -26,8 +24,6 @@ ClientPeer::ClientPeer(transport::TransportFabric& fabric, NodeId node, NodeId b
       directories_(directories),
       config_(config),
       discovery_(endpoint_, directories.rendezvous, peer_of(node), broker_node),
-      pipes_(endpoint_, discovery_, directories.pipes),
-      membership_(endpoint_, directories.groups, peer_of(node), broker_node),
       executor_(fabric.simulator(), fabric.network().topology().node(node), config.executor),
       select_channel_(endpoint_, transport::MessageType::kSelectRequest,
                       transport::MessageType::kSelectResponse) {
@@ -156,10 +152,8 @@ void ClientPeer::publish_advert() {
   adv.kind = jxta::AdvertisementKind::kPeer;
   adv.name = profile.hostname;
   adv.home = node_;
-  adv.attributes["cpu_ghz"] = std::to_string(profile.cpu_ghz);
-  adv.attributes["price"] = std::to_string(profile.price_per_cpu_second);
-  adv.attributes["role"] = to_string(config_.kind);
-  discovery_.publish(std::move(adv), config_.advert_lifetime);
+  adv.cpu_ghz = profile.cpu_ghz;
+  discovery_.publish(std::move(adv), kAdvertLifetime);
 }
 
 void ClientPeer::rehome(NodeId new_broker) {
@@ -168,7 +162,6 @@ void ClientPeer::rehome(NodeId new_broker) {
   const NodeId old_broker = broker_node_;
   broker_node_ = new_broker;
   discovery_.set_rendezvous(new_broker);
-  membership_.set_broker(new_broker);
   // Announce immediately so the new broker registers us without
   // waiting a full heartbeat period.
   if (started_) {

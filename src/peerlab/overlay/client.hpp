@@ -2,10 +2,9 @@
 
 // ClientPeer — an edge peer of the overlay (the paper's SimpleClient:
 // a client without GUI). Composes every client-side service: JXTA
-// discovery/pipes/group membership against its broker, the file
-// transfer peer, the task executor and service, instant messaging,
-// plus the liveness loop (periodic heartbeat + peer advertisement +
-// self queue samples).
+// discovery against its broker, the file transfer peer, the task
+// executor and service, instant messaging, plus the liveness loop
+// (periodic heartbeat + peer advertisement + self queue samples).
 
 #include <memory>
 
@@ -17,18 +16,9 @@
 
 namespace peerlab::overlay {
 
-/// JXTA-Overlay distinguishes edge peers "either SimpleClient — without
-/// GUI, or Client with GUI". The kind is advertised so applications can
-/// target headless workers; behaviourally they share the same services.
-enum class ClientKind : std::uint8_t { kSimpleClient, kGuiClient };
-
-[[nodiscard]] const char* to_string(ClientKind kind) noexcept;
-
 struct ClientConfig {
+  /// Also the peer advertisement's republish period.
   Seconds heartbeat_interval = 30.0;
-  /// Peer advertisement lifetime; republished with each heartbeat.
-  Seconds advert_lifetime = 120.0;
-  ClientKind kind = ClientKind::kSimpleClient;
   tasks::ExecutorConfig executor{};
 };
 
@@ -69,11 +59,10 @@ class ClientPeer {
   /// it out after a few missed intervals.
   void stop();
   [[nodiscard]] bool started() const noexcept { return started_; }
-  [[nodiscard]] ClientKind kind() const noexcept { return config_.kind; }
 
   /// Re-homes the client to a different broker (broker failover): the
-  /// next heartbeat registers it there, and discovery/membership/
-  /// selection requests follow.
+  /// next heartbeat registers it there, and discovery and selection
+  /// requests follow.
   void rehome(NodeId new_broker);
 
   // ---- services ----
@@ -81,8 +70,6 @@ class ClientPeer {
   [[nodiscard]] TaskService& task_service() noexcept { return *task_service_; }
   [[nodiscard]] MessagingService& messaging() noexcept { return *messaging_; }
   [[nodiscard]] jxta::DiscoveryService& discovery() noexcept { return discovery_; }
-  [[nodiscard]] jxta::PipeService& pipes() noexcept { return pipes_; }
-  [[nodiscard]] jxta::GroupMembership& membership() noexcept { return membership_; }
   [[nodiscard]] tasks::TaskExecutor& executor() noexcept { return executor_; }
   [[nodiscard]] transport::Endpoint& endpoint() noexcept { return endpoint_; }
 
@@ -143,8 +130,6 @@ class ClientPeer {
   OverlayDirectories& directories_;
   ClientConfig config_;
   jxta::DiscoveryService discovery_;
-  jxta::PipeService pipes_;
-  jxta::GroupMembership membership_;
   tasks::TaskExecutor executor_;
   std::unique_ptr<FileService> files_;
   std::unique_ptr<TaskService> task_service_;

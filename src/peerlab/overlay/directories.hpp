@@ -1,22 +1,16 @@
 #pragma once
 
-// Shared in-process registries for one overlay deployment.
-//
-// The simulated control plane carries routing and small scalars but no
-// structured payloads, so structured data (stats deltas, selection
-// result lists) travels via parked tickets: the producer parks the
-// payload, the datagram carries the ticket, the consumer claims it at
-// the arrival instant. OverlayDirectories bundles those stores plus
-// the per-subsystem directories the lower layers already use.
+// Shared in-process registries for one overlay deployment: the
+// ticket stores that carry structured payloads (stats deltas,
+// selection contexts and result lists) across the payload-free control
+// plane (see common/ticket_store.hpp), plus the per-subsystem
+// directories the lower layers already use.
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
+#include "peerlab/common/ticket_store.hpp"
 #include "peerlab/core/snapshot.hpp"
 #include "peerlab/jxta/discovery.hpp"
-#include "peerlab/jxta/peergroup.hpp"
-#include "peerlab/jxta/pipe.hpp"
 #include "peerlab/stats/history.hpp"
 #include "peerlab/transport/file_transfer.hpp"
 
@@ -48,56 +42,9 @@ struct StatsDelta {
   obs::trace::TraceContext trace;
 };
 
-/// FIFO-bounded ticket store for one payload type.
-template <typename T>
-class TicketStore {
- public:
-  explicit TicketStore(std::size_t capacity = 4096) : capacity_(capacity) {}
-
-  std::uint64_t park(T payload) {
-    const std::uint64_t ticket = ++next_;
-    parked_.emplace(ticket, std::move(payload));
-    order_.push_back(ticket);
-    while (order_.size() > capacity_) {
-      parked_.erase(order_.front());
-      order_.pop_front();
-    }
-    return ticket;
-  }
-
-  /// Claims and removes; default-constructed T when unknown.
-  [[nodiscard]] T claim(std::uint64_t ticket) {
-    const auto it = parked_.find(ticket);
-    if (it == parked_.end()) return T{};
-    T payload = std::move(it->second);
-    parked_.erase(it);
-    return payload;
-  }
-
-  /// Reads without removing (for retransmission-idempotent protocols).
-  [[nodiscard]] const T* peek(std::uint64_t ticket) const {
-    const auto it = parked_.find(ticket);
-    return it == parked_.end() ? nullptr : &it->second;
-  }
-
-  void release(std::uint64_t ticket) { parked_.erase(ticket); }
-
-  [[nodiscard]] bool contains(std::uint64_t ticket) const {
-    return parked_.count(ticket) > 0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::unordered_map<std::uint64_t, T> parked_;
-  std::deque<std::uint64_t> order_;
-  std::uint64_t next_ = 0;
-};
-
 struct OverlayDirectories {
   transport::FileTransferDirectory transfers;
   jxta::RendezvousDirectory rendezvous;
-  jxta::PipeDirectory pipes;
-  jxta::PeerGroupDirectory groups;
   TicketStore<StatsDelta> stats_reports;
   TicketStore<std::vector<PeerId>> selections;
   TicketStore<core::SelectionContext> selection_contexts;

@@ -24,7 +24,7 @@ void Primitives::share_content(const std::string& name, Bytes size, Seconds life
   adv.kind = jxta::AdvertisementKind::kContent;
   adv.name = name;
   adv.home = self_.node();
-  adv.attributes["bytes"] = std::to_string(size);
+  adv.size = size;
   self_.discovery().publish(std::move(adv), lifetime);
 }
 

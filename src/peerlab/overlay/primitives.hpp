@@ -3,9 +3,10 @@
 // Primitives — the overlay's public API (Section 3): "peer discovery,
 // peer's resources discovery, peer selection, resource allocation,
 // file/data sharing, discovery and transmission, instant communication,
-// peer group functionalities" plus executable-task management. This is
-// the surface applications program against; everything below it
-// (broker protocols, JXTA services, the transfer protocol) is plumbing.
+// peer group functionalities" plus executable-task management; each
+// broker's clients form its one implicit peergroup. This is the
+// surface applications program against; everything below it (broker
+// protocols, JXTA services, the transfer protocol) is plumbing.
 
 #include "peerlab/overlay/client.hpp"
 
@@ -19,8 +20,8 @@ class Primitives {
 
   // ---- peer & resource discovery ----
   using DiscoverCallback = std::function<void(std::vector<jxta::Advertisement>)>;
-  /// Discovers live peers of the group (their advertisements carry the
-  /// resource attributes: cpu, price, role).
+  /// Discovers live peers of the group (their advertisements carry
+  /// their CPU speed).
   void discover_peers(DiscoverCallback done);
   /// Discovers shared content by name.
   void discover_content(const std::string& name, DiscoverCallback done);
@@ -57,12 +58,6 @@ class Primitives {
   void on_message(MessagingService::Listener listener) {
     self_.messaging().set_listener(std::move(listener));
   }
-
-  // ---- peergroups ----
-  void join_group(GroupId group, jxta::GroupMembership::JoinCallback done) {
-    self_.membership().join(group, std::move(done));
-  }
-  void leave_group(GroupId group) { self_.membership().leave(group); }
 
   [[nodiscard]] ClientPeer& peer() noexcept { return self_; }
 

@@ -17,14 +17,8 @@ const char* to_string(MessageType type) noexcept {
     case MessageType::kStatsReport: return "stats-report";
     case MessageType::kDiscoveryQuery: return "discovery-query";
     case MessageType::kDiscoveryResponse: return "discovery-response";
-    case MessageType::kGroupJoin: return "group-join";
-    case MessageType::kGroupJoinAck: return "group-join-ack";
-    case MessageType::kGroupLeave: return "group-leave";
     case MessageType::kChat: return "chat";
     case MessageType::kChatAck: return "chat-ack";
-    case MessageType::kPipeResolve: return "pipe-resolve";
-    case MessageType::kPipeResolveAck: return "pipe-resolve-ack";
-    case MessageType::kPipeData: return "pipe-data";
     case MessageType::kSelectRequest: return "select-request";
     case MessageType::kSelectResponse: return "select-response";
     case MessageType::kReplicaDelta: return "replica-delta";

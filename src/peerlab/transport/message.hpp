@@ -17,42 +17,38 @@
 
 namespace peerlab::transport {
 
+/// Explicit values: trace dumps record the type as this number
+/// (kMsgSend/kMsgDeliver), so a code never moves once assigned. The
+/// gaps (13-15, 18-20) are retired peergroup and pipe codes.
 enum class MessageType : std::uint8_t {
   // File transfer protocol (Section 4.2 of the paper).
-  kTransferPetition,     // "may I send you a file part?"
-  kTransferPetitionAck,  // "yes, ready to receive"
-  kPartConfirm,          // "part received correctly, send the next"
-  kConfirmQuery,         // sender lost the confirm; asks again
+  kTransferPetition = 0,     // "may I send you a file part?"
+  kTransferPetitionAck = 1,  // "yes, ready to receive"
+  kPartConfirm = 2,          // "part received correctly, send the next"
+  kConfirmQuery = 3,         // sender lost the confirm; asks again
   // Task management protocol.
-  kTaskOffer,
-  kTaskAccept,
-  kTaskReject,
-  kTaskResult,
-  kTaskResultAck,
+  kTaskOffer = 4,
+  kTaskAccept = 5,
+  kTaskReject = 6,
+  kTaskResult = 7,
+  kTaskResultAck = 8,
   // Overlay housekeeping.
-  kHeartbeat,
-  kStatsReport,
-  kDiscoveryQuery,
-  kDiscoveryResponse,
-  kGroupJoin,
-  kGroupJoinAck,
-  kGroupLeave,
+  kHeartbeat = 9,
+  kStatsReport = 10,
+  kDiscoveryQuery = 11,
+  kDiscoveryResponse = 12,
   // Instant messaging primitive.
-  kChat,
-  kChatAck,
-  // JXTA pipe service.
-  kPipeResolve,
-  kPipeResolveAck,
-  kPipeData,
+  kChat = 16,
+  kChatAck = 17,
   // Broker-mediated peer selection.
-  kSelectRequest,
-  kSelectResponse,
+  kSelectRequest = 21,
+  kSelectResponse = 22,
   // Broker replication (primary -> standby state streaming).
-  kReplicaDelta,      // one sequence-numbered StatsDelta, via ticket
-  kReplicaDeltaAck,   // standby's cumulative applied sequence
-  kReplicaHeartbeat,  // primary liveness + current stream sequence
-  kReplicaSnapshot,   // anti-entropy full-state snapshot, via ticket
-  kReplicaJoin,       // (re)joining standby asks for a snapshot now
+  kReplicaDelta = 23,      // one sequence-numbered StatsDelta, via ticket
+  kReplicaDeltaAck = 24,   // standby's cumulative applied sequence
+  kReplicaHeartbeat = 25,  // primary liveness + current stream sequence
+  kReplicaSnapshot = 26,   // anti-entropy full-state snapshot, via ticket
+  kReplicaJoin = 27,       // (re)joining standby asks for a snapshot now
 };
 
 [[nodiscard]] const char* to_string(MessageType type) noexcept;

@@ -30,7 +30,7 @@ TEST(Ids, EqualityAndOrdering) {
 }
 
 TEST(Ids, AllocatorMintsSequentialIds) {
-  IdAllocator<PipeId> alloc;
+  IdAllocator<TaskId> alloc;
   EXPECT_EQ(alloc.next().value(), 1u);
   EXPECT_EQ(alloc.next().value(), 2u);
   EXPECT_EQ(alloc.next().value(), 3u);
@@ -57,8 +57,6 @@ TEST(Ids, HashWorksAsMapKey) {
 TEST(Ids, ToStringUsesFamilyPrefix) {
   EXPECT_EQ(to_string(NodeId(7)), "node#7");
   EXPECT_EQ(to_string(PeerId(7)), "peer#7");
-  EXPECT_EQ(to_string(PipeId(1)), "pipe#1");
-  EXPECT_EQ(to_string(GroupId(2)), "group#2");
   EXPECT_EQ(to_string(MessageId(3)), "msg#3");
   EXPECT_EQ(to_string(TaskId(4)), "task#4");
   EXPECT_EQ(to_string(TransferId(5)), "xfer#5");

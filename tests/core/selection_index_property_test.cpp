@@ -299,6 +299,18 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
     harness.bind(model.get());
     const int ops = 40 + static_cast<int>(rng() % 40);
     int petition = 0;
+    const auto issue_petition = [&] {
+      const auto ctx = harness.make_context(rng, allow_excludes, defended);
+      const std::size_t k = rng() % 5 + 1;
+      const auto snaps = harness.snapshots();
+      std::vector<PeerId> got;
+      const bool walk = !blind || (ctx.exclude.empty() && ctx.reputation_weight == 0.0);
+      ASSERT_EQ(harness.index().select(ctx, harness.now(), k, got), walk)
+          << "unexpected path, seed=" << seed << " scenario=" << scenario;
+      const auto want = peerlab::testing::ref_select_k(*ref, snaps, ctx, k);
+      ASSERT_EQ(got, want) << describe(seed, scenario, petition, got, want);
+      ++petition;
+    };
     for (int op = 0; op < ops; ++op) {
       if (defended && rng() % 3 == 0) harness.rescore(rng);
       switch (rng() % 6) {
@@ -315,20 +327,17 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
         case 4:
           harness.advance(rng);
           break;
-        default: {
-          const auto ctx = harness.make_context(rng, allow_excludes, defended);
-          const std::size_t k = rng() % 5 + 1;
-          const auto snaps = harness.snapshots();
-          std::vector<PeerId> got;
-          const bool walk = !blind || (ctx.exclude.empty() && ctx.reputation_weight == 0.0);
-          ASSERT_EQ(harness.index().select(ctx, harness.now(), k, got), walk)
-              << "unexpected path, seed=" << seed << " scenario=" << scenario;
-          const auto want = peerlab::testing::ref_select_k(*ref, snaps, ctx, k);
-          ASSERT_EQ(got, want) << describe(seed, scenario, petition, got, want);
-          ++petition;
+        default:
+          issue_petition();
+          if (::testing::Test::HasFatalFailure()) return;
           break;
-        }
       }
+    }
+    // A scenario whose draws held no petition still ends on one, after
+    // its own draws, so every other scenario's stream is unchanged.
+    if (petition == 0) {
+      issue_petition();
+      if (::testing::Test::HasFatalFailure()) return;
     }
     ASSERT_GT(petition, 0) << "scenario produced no petitions, seed=" << seed;
   }

@@ -12,8 +12,7 @@ Advertisement sample_adv() {
   adv.publisher = PeerId(5);
   adv.home = NodeId(3);
   adv.name = "planetlab1.example";
-  adv.attributes["cpu_ghz"] = "1.2";
-  adv.attributes["role"] = "simpleclient";
+  adv.cpu_ghz = 1.2;
   adv.published_at = 10.0;
   adv.expires_at = 110.0;
   return adv;
@@ -21,10 +20,7 @@ Advertisement sample_adv() {
 
 TEST(Advertisement, KindNames) {
   EXPECT_STREQ(to_string(AdvertisementKind::kPeer), "peer");
-  EXPECT_STREQ(to_string(AdvertisementKind::kPipe), "pipe");
-  EXPECT_STREQ(to_string(AdvertisementKind::kPeerGroup), "peergroup");
   EXPECT_STREQ(to_string(AdvertisementKind::kContent), "content");
-  EXPECT_STREQ(to_string(AdvertisementKind::kModule), "module");
 }
 
 TEST(Advertisement, ExpiryBoundary) {
@@ -35,27 +31,13 @@ TEST(Advertisement, ExpiryBoundary) {
   EXPECT_TRUE(adv.expired(200.0));
 }
 
-TEST(Advertisement, AttributeLookup) {
-  const auto adv = sample_adv();
-  ASSERT_TRUE(adv.attribute("role").has_value());
-  EXPECT_EQ(*adv.attribute("role"), "simpleclient");
-  EXPECT_FALSE(adv.attribute("missing").has_value());
-}
-
-TEST(Advertisement, NumericAttributeParsesOrFallsBack) {
-  const auto adv = sample_adv();
-  EXPECT_DOUBLE_EQ(adv.numeric_attribute("cpu_ghz", 0.0), 1.2);
-  EXPECT_DOUBLE_EQ(adv.numeric_attribute("missing", 7.5), 7.5);
-  EXPECT_DOUBLE_EQ(adv.numeric_attribute("role", 7.5), 7.5);  // non-numeric
-}
-
 TEST(AdvertisementQuery, MatchesByKindAndLiveness) {
   const auto adv = sample_adv();
   AdvertisementQuery q;
   q.kind = AdvertisementKind::kPeer;
   EXPECT_TRUE(q.matches(adv, 50.0));
   EXPECT_FALSE(q.matches(adv, 110.0));  // expired
-  q.kind = AdvertisementKind::kPipe;
+  q.kind = AdvertisementKind::kContent;
   EXPECT_FALSE(q.matches(adv, 50.0));  // wrong kind
 }
 
@@ -68,21 +50,6 @@ TEST(AdvertisementQuery, EmptyNameMatchesAnyName) {
   q.name = "planetlab1.example";
   EXPECT_TRUE(q.matches(adv, 50.0));
   q.name = "other.example";
-  EXPECT_FALSE(q.matches(adv, 50.0));
-}
-
-TEST(AdvertisementQuery, AttributeConstraintsMustAllHold) {
-  const auto adv = sample_adv();
-  AdvertisementQuery q;
-  q.kind = AdvertisementKind::kPeer;
-  q.attribute_equals["role"] = "simpleclient";
-  EXPECT_TRUE(q.matches(adv, 50.0));
-  q.attribute_equals["cpu_ghz"] = "1.2";
-  EXPECT_TRUE(q.matches(adv, 50.0));
-  q.attribute_equals["cpu_ghz"] = "3.0";
-  EXPECT_FALSE(q.matches(adv, 50.0));
-  q.attribute_equals.erase("cpu_ghz");
-  q.attribute_equals["missing"] = "x";
   EXPECT_FALSE(q.matches(adv, 50.0));
 }
 

@@ -9,7 +9,9 @@ namespace {
 
 // Two-node world: node 1 = broker (hosts the rendezvous), node 2 = edge.
 struct World {
-  explicit World(double datagram_loss = 0.0, std::uint64_t seed = 1) : sim(seed) {
+  explicit World(double datagram_loss = 0.0, std::uint64_t seed = 1,
+                 double datagram_duplication = 0.0)
+      : sim(seed) {
     net::Topology topo(sim.rng().fork(1));
     for (const char* name : {"broker", "edge"}) {
       net::NodeProfile p;
@@ -21,6 +23,7 @@ struct World {
     }
     net::NetworkConfig cfg;
     cfg.datagram_loss = datagram_loss;
+    cfg.datagram_duplication = datagram_duplication;
     network.emplace(sim, std::move(topo), cfg);
     fabric.emplace(*network);
     rendezvous.emplace(sim);
@@ -44,18 +47,8 @@ Advertisement peer_adv(const std::string& name) {
   adv.kind = AdvertisementKind::kPeer;
   adv.name = name;
   adv.home = NodeId(2);
+  adv.cpu_ghz = 2.4;
   return adv;
-}
-
-TEST(Discovery, PublishPopulatesLocalCacheImmediately) {
-  World w;
-  w.edge_discovery->publish(peer_adv("edge-peer"), 600.0);
-  AdvertisementQuery q;
-  q.kind = AdvertisementKind::kPeer;
-  const auto local = w.edge_discovery->lookup_local(q);
-  ASSERT_EQ(local.size(), 1u);
-  EXPECT_EQ(local[0].name, "edge-peer");
-  EXPECT_EQ(local[0].publisher, PeerId(2));
 }
 
 TEST(Discovery, PublishReachesRendezvousAfterControlDelay) {
@@ -66,11 +59,24 @@ TEST(Discovery, PublishReachesRendezvousAfterControlDelay) {
   EXPECT_EQ(w.rendezvous->size(), 1u);
 }
 
-TEST(Discovery, RepublishRefreshesLocalEdition) {
-  World w;
-  w.edge_discovery->publish(peer_adv("edge-peer"), 10.0);
+TEST(Discovery, DuplicatedPublishLeavesOneIntactAdvert) {
+  // The publish datagram is duplicated (the network caps the knob
+  // below 1; the count below pins that it fired), so its arrival runs
+  // twice and both runs must read the advert intact from the capture.
+  World w(/*datagram_loss=*/0.0, /*seed=*/1, /*datagram_duplication=*/0.999);
   w.edge_discovery->publish(peer_adv("edge-peer"), 600.0);
-  EXPECT_EQ(w.edge_discovery->local_cache_size(), 1u);
+  w.sim.run();
+  EXPECT_EQ(w.network->datagrams_duplicated(), 1u);
+  ASSERT_EQ(w.rendezvous->size(), 1u);
+  AdvertisementQuery q;
+  q.kind = AdvertisementKind::kPeer;
+  const auto held = w.rendezvous->query(q);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].name, "edge-peer");
+  EXPECT_EQ(held[0].publisher, PeerId(2));
+  EXPECT_EQ(held[0].home, NodeId(2));
+  EXPECT_DOUBLE_EQ(held[0].cpu_ghz, 2.4);
+  EXPECT_DOUBLE_EQ(held[0].expires_at, 600.0);
 }
 
 TEST(Discovery, RemoteQueryFindsPublishedAdvert) {
@@ -90,13 +96,14 @@ TEST(Discovery, RemoteQueryFindsPublishedAdvert) {
   ASSERT_EQ(results->size(), 1u);
   EXPECT_EQ((*results)[0].name, "edge-peer");
   EXPECT_EQ((*results)[0].home, NodeId(2));
+  EXPECT_DOUBLE_EQ((*results)[0].cpu_ghz, 2.4);
 }
 
 TEST(Discovery, RemoteQueryEmptyWhenNothingMatches) {
   World w;
   std::optional<std::vector<Advertisement>> results;
   AdvertisementQuery q;
-  q.kind = AdvertisementKind::kPipe;
+  q.kind = AdvertisementKind::kContent;
   w.edge_discovery->query_remote(q, [&](std::vector<Advertisement> advs) {
     results = std::move(advs);
   });
@@ -139,16 +146,6 @@ TEST(Discovery, QueryToDeadRendezvousFailsCleanly) {
   w.sim.run();
   ASSERT_TRUE(results.has_value());
   EXPECT_TRUE(results->empty());
-}
-
-TEST(Discovery, LocalSweepDropsExpired) {
-  World w;
-  w.edge_discovery->publish(peer_adv("short-lived"), 5.0);
-  w.edge_discovery->publish(peer_adv("long-lived"), 500.0);
-  w.sim.schedule(10.0, [] {});
-  w.sim.run();
-  EXPECT_EQ(w.edge_discovery->sweep_local(), 1u);
-  EXPECT_EQ(w.edge_discovery->local_cache_size(), 1u);
 }
 
 TEST(Discovery, ExpiredAdvertNeverReachesRendezvous) {
@@ -194,23 +191,23 @@ TEST(RendezvousDirectoryStore, ParkAndClaimRoundTrip) {
   RendezvousDirectory dir;
   std::vector<Advertisement> payload(3);
   payload[0].name = "x";
-  const auto ticket = dir.park(payload);
-  const auto claimed = dir.claim(ticket);
+  const auto ticket = dir.results.park(payload);
+  const auto claimed = dir.results.claim(ticket);
   ASSERT_EQ(claimed.size(), 3u);
   EXPECT_EQ(claimed[0].name, "x");
-  EXPECT_TRUE(dir.claim(ticket).empty());  // single-shot
+  EXPECT_TRUE(dir.results.claim(ticket).empty());  // single-shot
 }
 
 TEST(RendezvousDirectoryStore, QueriesArePeekedNotClaimed) {
   RendezvousDirectory dir;
   AdvertisementQuery q;
   q.name = "needle";
-  const auto ticket = dir.park_query(q);
-  ASSERT_NE(dir.peek_query(ticket), nullptr);
-  EXPECT_EQ(dir.peek_query(ticket)->name, "needle");
-  ASSERT_NE(dir.peek_query(ticket), nullptr);  // still there
-  dir.release_query(ticket);
-  EXPECT_EQ(dir.peek_query(ticket), nullptr);
+  const auto ticket = dir.queries.park(q);
+  ASSERT_NE(dir.queries.peek(ticket), nullptr);
+  EXPECT_EQ(dir.queries.peek(ticket)->name, "needle");
+  ASSERT_NE(dir.queries.peek(ticket), nullptr);  // still there
+  dir.queries.release(ticket);
+  EXPECT_EQ(dir.queries.peek(ticket), nullptr);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@ TEST(Rendezvous, PublishAssignsIdsAndCounts) {
   EXPECT_TRUE(id1.valid());
   EXPECT_NE(id1, id2);
   EXPECT_EQ(index.size(), 2u);
-  EXPECT_EQ(index.publishes(), 2u);
 }
 
 TEST(Rendezvous, RepublishReplacesSameEdition) {
@@ -60,39 +59,23 @@ TEST(Rendezvous, QueryFiltersExpired) {
   const auto results = index.query(q);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].name, "long");
-  EXPECT_EQ(index.size(), 2u);  // lazy: still stored until sweep
+  EXPECT_EQ(index.size(), 2u);  // lazy: stored until republished
 }
 
-TEST(Rendezvous, SweepRemovesExpired) {
+TEST(Rendezvous, KindsDoNotCollide) {
   sim::Simulator sim(1);
   RendezvousIndex index(sim);
-  index.publish(peer_adv(PeerId(1), "short", 5.0));
-  index.publish(peer_adv(PeerId(2), "long", 500.0));
-  sim.schedule(10.0, [] {});
-  sim.run();
-  EXPECT_EQ(index.sweep(), 1u);
-  EXPECT_EQ(index.size(), 1u);
-}
-
-TEST(Rendezvous, RevokeRemovesSpecificAdvert) {
-  sim::Simulator sim(1);
-  RendezvousIndex index(sim);
-  index.publish(peer_adv(PeerId(1), "a", 100.0));
-  EXPECT_TRUE(index.revoke(PeerId(1), AdvertisementKind::kPeer, "a"));
-  EXPECT_FALSE(index.revoke(PeerId(1), AdvertisementKind::kPeer, "a"));
-  EXPECT_EQ(index.size(), 0u);
-}
-
-TEST(Rendezvous, RevokeAllClearsAPeer) {
-  sim::Simulator sim(1);
-  RendezvousIndex index(sim);
-  index.publish(peer_adv(PeerId(1), "a", 100.0));
-  auto pipe = peer_adv(PeerId(1), "p", 100.0);
-  pipe.kind = AdvertisementKind::kPipe;
-  index.publish(pipe);
-  index.publish(peer_adv(PeerId(2), "b", 100.0));
-  EXPECT_EQ(index.revoke_all(PeerId(1)), 2u);
-  EXPECT_EQ(index.size(), 1u);
+  index.publish(peer_adv(PeerId(1), "same-name", 100.0));
+  auto content = peer_adv(PeerId(1), "same-name", 100.0);
+  content.kind = AdvertisementKind::kContent;
+  content.size = 4096;
+  index.publish(content);
+  EXPECT_EQ(index.size(), 2u);
+  AdvertisementQuery q;
+  q.kind = AdvertisementKind::kContent;
+  const auto results = index.query(q);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].size, 4096);
 }
 
 TEST(Rendezvous, QueryResultsAreSortedById) {
@@ -118,15 +101,6 @@ TEST(Rendezvous, RejectsInvalidPublishes) {
   EXPECT_THROW(index.publish(anon), InvariantError);
   Advertisement stale = peer_adv(PeerId(1), "x", 0.0);
   EXPECT_THROW(index.publish(stale), InvariantError);
-}
-
-TEST(Rendezvous, QueryCounterIncrements) {
-  sim::Simulator sim(1);
-  RendezvousIndex index(sim);
-  AdvertisementQuery q;
-  (void)index.query(q);
-  (void)index.query(q);
-  EXPECT_EQ(index.queries(), 2u);
 }
 
 }  // namespace

@@ -189,21 +189,13 @@ TEST(Broker, BeginSessionResetsSessionScopedStats) {
   EXPECT_DOUBLE_EQ(s.value(stats::Criterion::kMsgSuccessTotal, w.sim.now()), 0.0);
 }
 
-TEST(Broker, HostsRendezvousAndGroupRegistry) {
+TEST(Broker, HostsRendezvous) {
   OverlayWorld w;
   w.boot();
   // Client adverts reached the broker's rendezvous via heartbeats.
   jxta::AdvertisementQuery q;
   q.kind = jxta::AdvertisementKind::kPeer;
   EXPECT_EQ(w.broker->rendezvous().query(q).size(), 3u);
-  // Group registry serves joins.
-  const GroupId g = w.broker->groups().create("campus", w.broker->id());
-  std::optional<bool> joined;
-  w.client(1).membership().join(g, [&](bool ok, GroupId) { joined = ok; });
-  w.sim.run_until(w.sim.now() + 5.0);
-  ASSERT_TRUE(joined.has_value());
-  EXPECT_TRUE(*joined);
-  EXPECT_TRUE(w.broker->groups().is_member(g, PeerId(3)));
 }
 
 }  // namespace

@@ -21,8 +21,11 @@ TEST(Primitives, DiscoverPeersSeesTheGroup) {
   ASSERT_TRUE(peers.has_value());
   EXPECT_EQ(peers->size(), 3u);
   for (const auto& adv : *peers) {
-    EXPECT_EQ(*adv.attribute("role"), "simpleclient");
-    EXPECT_GT(adv.numeric_attribute("cpu_ghz", 0.0), 0.0);
+    // Each advert carries its publisher's hostname and CPU speed.
+    const auto& profile = w.network->topology().node(adv.home).profile();
+    EXPECT_EQ(adv.name, profile.hostname);
+    EXPECT_DOUBLE_EQ(adv.cpu_ghz, profile.cpu_ghz);
+    EXPECT_GT(adv.cpu_ghz, 0.0);
   }
 }
 
@@ -41,7 +44,7 @@ TEST(Primitives, ShareAndDiscoverContent) {
   ASSERT_TRUE(found.has_value());
   ASSERT_EQ(found->size(), 1u);
   EXPECT_EQ((*found)[0].home, w.client(0).node());
-  EXPECT_DOUBLE_EQ((*found)[0].numeric_attribute("bytes", 0.0), 700e6);
+  EXPECT_EQ((*found)[0].size, megabytes(700.0));
 }
 
 TEST(Primitives, SelectPeersDelegatesToBrokerModel) {
@@ -102,7 +105,7 @@ TEST(Primitives, SubmitTaskAutoFailsWhenNoPeerEligible) {
   EXPECT_FALSE(outcome->accepted);
 }
 
-TEST(Primitives, InstantMessagingAndGroups) {
+TEST(Primitives, InstantMessaging) {
   OverlayWorld w;
   w.boot();
   Primitives alice(w.client(0));
@@ -111,17 +114,9 @@ TEST(Primitives, InstantMessagingAndGroups) {
   bob.on_message([&](PeerId, std::int64_t tag) { heard = tag; });
   std::optional<bool> sent;
   alice.send_message(bob.self(), 99, [&](bool ok, Seconds) { sent = ok; });
-
-  const GroupId g = w.broker->groups().create("study-group", w.broker->id());
-  std::optional<bool> joined;
-  alice.join_group(g, [&](bool ok, GroupId) { joined = ok; });
   w.sim.run_until(w.sim.now() + 10.0);
   EXPECT_TRUE(heard && *heard == 99);
   EXPECT_TRUE(sent && *sent);
-  EXPECT_TRUE(joined && *joined);
-  alice.leave_group(g);
-  w.sim.run_until(w.sim.now() + 5.0);
-  EXPECT_FALSE(w.broker->groups().is_member(g, alice.self()));
 }
 
 }  // namespace

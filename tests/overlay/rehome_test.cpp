@@ -98,19 +98,5 @@ TEST(Rehome, Validation) {
   EXPECT_THROW(dep.sc(1).rehome(dep.sc(1).node()), InvariantError);
 }
 
-TEST(ClientKind, AdvertisedRoleMatchesKind) {
-  sim::Simulator sim(5);
-  planetlab::DeploymentOptions opts;
-  opts.client.kind = ClientKind::kGuiClient;
-  planetlab::Deployment dep(sim, opts);
-  dep.boot();
-  jxta::AdvertisementQuery q;
-  q.kind = jxta::AdvertisementKind::kPeer;
-  q.attribute_equals["role"] = "client";
-  EXPECT_EQ(dep.broker().rendezvous().query(q).size(), 8u);
-  EXPECT_STREQ(to_string(ClientKind::kSimpleClient), "simpleclient");
-  EXPECT_STREQ(to_string(ClientKind::kGuiClient), "client");
-}
-
 }  // namespace
 }  // namespace peerlab::overlay

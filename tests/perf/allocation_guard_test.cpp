@@ -30,6 +30,7 @@
 #include "peerlab/net/flow_scheduler.hpp"
 #include "peerlab/net/topology.hpp"
 #include "peerlab/sim/simulator.hpp"
+#include "overlay/overlay_world.hpp"
 
 namespace {
 
@@ -243,6 +244,46 @@ TEST(AllocationGuard, SelectionModelsPetitionPathIsAllocationFree) {
   const std::size_t allocations = guard.count();
   EXPECT_EQ(0u, allocations) << "selection petition path allocated";
   EXPECT_GT(picks, 0u);
+}
+
+TEST(AllocationGuard, SteadyStateHeartbeatAllocationsArePinned) {
+  // An idle overlay: 50 clients heartbeating into one broker, nothing
+  // else running. Each heartbeat sends the heartbeat datagram, a
+  // self-observed stats report and the peer advert republish; the
+  // broker ingests all three. The count is deterministic, so it is
+  // pinned exactly: a change to the heartbeat path's heap traffic
+  // must update this number on purpose.
+  overlay::testing::WorldOptions options;
+  options.clients = 50;
+  overlay::testing::OverlayWorld world(options);
+  world.boot();
+  const Seconds period = options.client_config.heartbeat_interval;
+  const auto heartbeats = [&world] {
+    std::uint64_t sent = 0;
+    for (const auto& client : world.clients) sent += client->heartbeats_sent();
+    return sent;
+  };
+  // Warm past every ticket store's eviction horizon (4096 stats
+  // reports), so parking, claiming and eviction all run at steady state.
+  world.sim.run_until(world.sim.now() + 100 * period);
+  const std::uint64_t before = heartbeats();
+
+  // 64 periods: the ticket stores' FIFO deques allocate one 64-ticket
+  // chunk per 64 parks, so whole chunks fall inside the window.
+  AllocationGuard guard;
+  world.sim.run_until(world.sim.now() + 64 * period);
+  const std::size_t allocations = guard.count();
+  const std::uint64_t measured = heartbeats() - before;
+  ASSERT_EQ(measured, 64u * 50u);
+  // 7 per heartbeat: two std::function wraps per datagram (the
+  // endpoint's or publisher's capture, then the network's arrival) for
+  // three datagrams, plus the stats report's ticket-store node. The
+  // remaining 51 are amortized container growth over the window, 50 of
+  // them the stats-report FIFO's 64-ticket deque chunks.
+  EXPECT_EQ(allocations / measured, 7u)
+      << "heap allocations per steady-state heartbeat: "
+      << static_cast<double>(allocations) / static_cast<double>(measured);
+  EXPECT_EQ(allocations, 22451u);
 }
 
 }  // namespace

@@ -29,12 +29,16 @@ struct HostilePlan {
   bool defended;  // broker reputation defenses
 };
 
-std::string plan_name(const ::testing::TestParamInfo<HostilePlan>& info) {
-  const auto& p = info.param;
+std::string plan_name(const HostilePlan& p) {
   return "s" + std::to_string(p.seed) + "_l" + std::to_string(p.leeches) + "_f" +
          std::to_string(p.flappers) + (p.churn ? "_churn" : "") +
          (p.defended ? "_def" : "_off");
 }
+
+// ctest lists each case as "<name> # GetParam() = <printed param>";
+// without this overload the param prints as raw bytes (padding
+// included), so the names could differ between builds.
+void PrintTo(const HostilePlan& p, std::ostream* os) { *os << plan_name(p); }
 
 struct HostileOutcome {
   FileService::DistributionResult result;
@@ -192,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(
                       HostilePlan{24, 1, 2, true, true},    // mixed + churn, defended
                       HostilePlan{25, 3, 1, true, false},   // heavy mix, undefended
                       HostilePlan{26, 2, 2, false, true}),  // mixed, defended
-    plan_name);
+    [](const ::testing::TestParamInfo<HostilePlan>& info) { return plan_name(info.param); });
 
 }  // namespace
 }  // namespace peerlab::overlay

@@ -19,6 +19,16 @@ struct ChurnPlan {
   bool recover;       // whether they come back
 };
 
+std::string plan_name(const ChurnPlan& p) {
+  return "s" + std::to_string(p.seed) + "_c" + std::to_string(p.crash_count) +
+         (p.recover ? "_rec" : "_norec");
+}
+
+// ctest lists each case as "<name> # GetParam() = <printed param>";
+// without this overload the param prints as raw bytes (padding
+// included), so the names could differ between builds.
+void PrintTo(const ChurnPlan& p, std::ostream* os) { *os << plan_name(p); }
+
 class ChurnTest : public ::testing::TestWithParam<ChurnPlan> {};
 
 TEST_P(ChurnTest, LivenessConvergesAndSurvivorsServe) {
@@ -89,9 +99,7 @@ INSTANTIATE_TEST_SUITE_P(Plans, ChurnTest,
                                            ChurnPlan{3, 3, false}, ChurnPlan{4, 4, true},
                                            ChurnPlan{5, 2, false}, ChurnPlan{6, 5, true}),
                          [](const ::testing::TestParamInfo<ChurnPlan>& info) {
-                           return "s" + std::to_string(info.param.seed) + "_c" +
-                                  std::to_string(info.param.crash_count) +
-                                  (info.param.recover ? "_rec" : "_norec");
+                           return plan_name(info.param);
                          });
 
 }  // namespace

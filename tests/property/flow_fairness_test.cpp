@@ -27,6 +27,16 @@ struct Scenario {
   std::uint64_t seed;
 };
 
+std::string scenario_name(const Scenario& s) {
+  return "n" + std::to_string(s.nodes) + "_f" + std::to_string(s.flows) + "_s" +
+         std::to_string(s.seed);
+}
+
+// ctest lists each case as "<name> # GetParam() = <printed param>";
+// without this overload the param prints as raw bytes (padding
+// included), so the names could differ between builds.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << scenario_name(s); }
+
 class FlowFairnessTest : public ::testing::TestWithParam<Scenario> {};
 
 constexpr double kEps = 1e-6;
@@ -142,10 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{5, 12, 14}, Scenario{6, 16, 15}, Scenario{8, 24, 16},
                       Scenario{10, 32, 17}, Scenario{12, 48, 18}, Scenario{16, 64, 19},
                       Scenario{4, 20, 20}, Scenario{3, 30, 21}, Scenario{20, 40, 22}),
-    [](const ::testing::TestParamInfo<Scenario>& info) {
-      return "n" + std::to_string(info.param.nodes) + "_f" +
-             std::to_string(info.param.flows) + "_s" + std::to_string(info.param.seed);
-    });
+    [](const ::testing::TestParamInfo<Scenario>& info) { return scenario_name(info.param); });
 
 TEST(FlowConservation, SingleBottleneckIsFullyUsed) {
   // 10 flows through one 10 Mbit/s uplink with ample downlinks: rates

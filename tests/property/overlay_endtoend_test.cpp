@@ -21,6 +21,17 @@ struct Workload {
   double datagram_loss;
 };
 
+std::string workload_name(const Workload& w) {
+  return "s" + std::to_string(w.seed) + "_x" + std::to_string(w.transfers) + "_t" +
+         std::to_string(w.tasks) + "_m" + std::to_string(w.model) + "_l" +
+         std::to_string(static_cast<int>(w.datagram_loss * 100));
+}
+
+// ctest lists each case as "<name> # GetParam() = <printed param>";
+// without this overload the param prints as raw bytes (padding
+// included), so the names could differ between builds.
+void PrintTo(const Workload& w, std::ostream* os) { *os << workload_name(w); }
+
 class EndToEndTest : public ::testing::TestWithParam<Workload> {};
 
 TEST_P(EndToEndTest, EverySubmissionResolvesExactlyOnceAndBooksBalance) {
@@ -106,12 +117,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Workload{3, 4, 10, 2, 0.0}, Workload{4, 8, 8, 1, 0.1},
                       Workload{5, 12, 0, 0, 0.0}, Workload{6, 0, 12, 1, 0.0},
                       Workload{7, 6, 6, 2, 0.2}, Workload{8, 10, 10, 1, 0.0}),
-    [](const ::testing::TestParamInfo<Workload>& info) {
-      const auto& w = info.param;
-      return "s" + std::to_string(w.seed) + "_x" + std::to_string(w.transfers) + "_t" +
-             std::to_string(w.tasks) + "_m" + std::to_string(w.model) + "_l" +
-             std::to_string(static_cast<int>(w.datagram_loss * 100));
-    });
+    [](const ::testing::TestParamInfo<Workload>& info) { return workload_name(info.param); });
 
 class DeploymentDeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};
 

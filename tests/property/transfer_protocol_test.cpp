@@ -21,6 +21,18 @@ struct Grid {
   std::uint64_t seed;
 };
 
+std::string grid_name(const Grid& g) {
+  return "mb" + std::to_string(static_cast<int>(g.size_mb * 10)) + "_p" +
+         std::to_string(g.parts) + "_l" + std::to_string(static_cast<int>(g.loss_per_mb * 100)) +
+         "_d" + std::to_string(static_cast<int>(g.datagram_loss * 100)) + "_s" +
+         std::to_string(g.seed);
+}
+
+// ctest lists each case as "<name> # GetParam() = <printed param>";
+// without this overload the param prints as raw bytes (padding
+// included), so the names could differ between builds.
+void PrintTo(const Grid& g, std::ostream* os) { *os << grid_name(g); }
+
 class TransferGridTest : public ::testing::TestWithParam<Grid> {};
 
 TEST_P(TransferGridTest, CompletesOrFailsExplicitlyAndConservesBytes) {
@@ -113,12 +125,7 @@ std::vector<Grid> grid_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Grid, TransferGridTest, ::testing::ValuesIn(grid_cases()),
                          [](const ::testing::TestParamInfo<Grid>& info) {
-                           const auto& g = info.param;
-                           return "mb" + std::to_string(static_cast<int>(g.size_mb * 10)) +
-                                  "_p" + std::to_string(g.parts) + "_l" +
-                                  std::to_string(static_cast<int>(g.loss_per_mb * 100)) +
-                                  "_d" + std::to_string(static_cast<int>(g.datagram_loss * 100)) +
-                                  "_s" + std::to_string(g.seed);
+                           return grid_name(info.param);
                          });
 
 class TransferDeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};

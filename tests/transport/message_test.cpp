@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -9,18 +10,17 @@ namespace peerlab::transport {
 namespace {
 
 const MessageType kAllTypes[] = {
-    MessageType::kTransferPetition, MessageType::kTransferPetitionAck,
-    MessageType::kPartConfirm,      MessageType::kConfirmQuery,
-    MessageType::kTaskOffer,        MessageType::kTaskAccept,
-    MessageType::kTaskReject,       MessageType::kTaskResult,
-    MessageType::kTaskResultAck,    MessageType::kHeartbeat,
-    MessageType::kStatsReport,      MessageType::kDiscoveryQuery,
-    MessageType::kDiscoveryResponse, MessageType::kGroupJoin,
-    MessageType::kGroupJoinAck,     MessageType::kGroupLeave,
-    MessageType::kChat,             MessageType::kChatAck,
-    MessageType::kPipeResolve,      MessageType::kPipeResolveAck,
-    MessageType::kPipeData,         MessageType::kSelectRequest,
-    MessageType::kSelectResponse,
+    MessageType::kTransferPetition,  MessageType::kTransferPetitionAck,
+    MessageType::kPartConfirm,       MessageType::kConfirmQuery,
+    MessageType::kTaskOffer,         MessageType::kTaskAccept,
+    MessageType::kTaskReject,        MessageType::kTaskResult,
+    MessageType::kTaskResultAck,     MessageType::kHeartbeat,
+    MessageType::kStatsReport,       MessageType::kDiscoveryQuery,
+    MessageType::kDiscoveryResponse, MessageType::kChat,
+    MessageType::kChatAck,           MessageType::kSelectRequest,
+    MessageType::kSelectResponse,    MessageType::kReplicaDelta,
+    MessageType::kReplicaDeltaAck,   MessageType::kReplicaHeartbeat,
+    MessageType::kReplicaSnapshot,   MessageType::kReplicaJoin,
 };
 
 TEST(MessageType, NamesAreUniqueAndNonEmpty) {
@@ -31,6 +31,35 @@ TEST(MessageType, NamesAreUniqueAndNonEmpty) {
     EXPECT_NE(name, "?");
     EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
   }
+}
+
+TEST(MessageType, WireCodesArePinned) {
+  // Trace dumps record a message's type as this number, so a code may
+  // never move; retired codes (13-15, 18-20) are never reused.
+  const auto code = [](MessageType t) { return static_cast<int>(t); };
+  EXPECT_EQ(code(MessageType::kTransferPetition), 0);
+  EXPECT_EQ(code(MessageType::kTransferPetitionAck), 1);
+  EXPECT_EQ(code(MessageType::kPartConfirm), 2);
+  EXPECT_EQ(code(MessageType::kConfirmQuery), 3);
+  EXPECT_EQ(code(MessageType::kTaskOffer), 4);
+  EXPECT_EQ(code(MessageType::kTaskAccept), 5);
+  EXPECT_EQ(code(MessageType::kTaskReject), 6);
+  EXPECT_EQ(code(MessageType::kTaskResult), 7);
+  EXPECT_EQ(code(MessageType::kTaskResultAck), 8);
+  EXPECT_EQ(code(MessageType::kHeartbeat), 9);
+  EXPECT_EQ(code(MessageType::kStatsReport), 10);
+  EXPECT_EQ(code(MessageType::kDiscoveryQuery), 11);
+  EXPECT_EQ(code(MessageType::kDiscoveryResponse), 12);
+  EXPECT_EQ(code(MessageType::kChat), 16);
+  EXPECT_EQ(code(MessageType::kChatAck), 17);
+  EXPECT_EQ(code(MessageType::kSelectRequest), 21);
+  EXPECT_EQ(code(MessageType::kSelectResponse), 22);
+  EXPECT_EQ(code(MessageType::kReplicaDelta), 23);
+  EXPECT_EQ(code(MessageType::kReplicaDeltaAck), 24);
+  EXPECT_EQ(code(MessageType::kReplicaHeartbeat), 25);
+  EXPECT_EQ(code(MessageType::kReplicaSnapshot), 26);
+  EXPECT_EQ(code(MessageType::kReplicaJoin), 27);
+  EXPECT_EQ(std::size(kAllTypes), 22u);
 }
 
 TEST(MessageType, NominalSizesAreControlScale) {
