@@ -17,6 +17,8 @@ if ctest --test-dir build -N | grep 'byte object'; then
   echo "check.sh: parametrized test names print raw parameter bytes" >&2
   exit 1
 fi
+# e2ebench's exact counters, seeds 1-3 of every workload.
+python3 scripts/e2e_counters.py --check
 
 cmake -B build-asan -S . -DPEERLAB_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$(nproc)" \

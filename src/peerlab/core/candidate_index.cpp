@@ -1,6 +1,7 @@
 #include "peerlab/core/candidate_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -288,10 +289,16 @@ void CandidateIndex::refresh_slot(std::uint32_t slot_index, const SelectionConte
                                   Seconds sim_now) {
   Slot& slot = slots_[slot_index];
   slot.dirty = false;
-  if (slot.in_trees) remove_from_trees(slot);
-  if (!slot_online(slot, sim_now)) return;
-  compute_keys(slot, slot_index, context);
-  insert_into_trees(slot, snaps_[slot_index].idle);
+  if (!slot_online(slot, sim_now)) {
+    if (slot.in_trees) remove_from_trees(slot);
+    return;
+  }
+  if (slot.in_trees) {
+    rekey_in_place(slot, slot_index, context);
+  } else {
+    compute_keys(slot, slot_index, context);
+    insert_into_trees(slot, snaps_[slot_index].idle);
+  }
   ++rekeys_;
   if (m_.rekeys != nullptr) m_.rekeys->add(1);
 }
@@ -341,62 +348,115 @@ void CandidateIndex::compute_keys(Slot& slot, std::uint32_t slot_index,
   }
 }
 
-void CandidateIndex::insert_into_trees(Slot& slot, bool idle) {
-  const PeerId peer = slot.peer;
-  ids_.insert(0.0, peer);
-  switch (kind_) {
+template <typename Self, typename F>
+void CandidateIndex::for_each_tree(Self& self, F&& f) {
+  switch (self.kind_) {
     case ModelKind::kUserPreference:
-      t_static_.insert(slot.key_static, peer);
+      f(self.t_static_, &Slot::key_static);
       break;
     case ModelKind::kEvaluator:
-      t_eval_.insert(slot.key_eval, peer);
+      f(self.t_eval_, &Slot::key_eval);
       break;
     case ModelKind::kHybrid:
-      t_eval_.insert(slot.key_eval, peer);
+      f(self.t_eval_, &Slot::key_eval);
       [[fallthrough]];
     case ModelKind::kEconomic:
-      t_base_.insert(slot.key_base, peer);
-      t_speed_.insert(slot.key_speed, peer);
-      t_rate_.insert(slot.key_rate, peer);
-      t_resp_.insert(slot.key_resp, peer);
-      t_price_.insert(slot.key_price, peer);
-      t_cpu_.insert(slot.key_cpu, peer);
+      f(self.t_base_, &Slot::key_base);
+      f(self.t_speed_, &Slot::key_speed);
+      f(self.t_rate_, &Slot::key_rate);
+      f(self.t_resp_, &Slot::key_resp);
+      f(self.t_price_, &Slot::key_price);
+      f(self.t_cpu_, &Slot::key_cpu);
       break;
     default:
       break;
   }
+}
+
+void CandidateIndex::rekey_in_place(Slot& slot, std::uint32_t slot_index,
+                                    const SelectionContext& context) {
+  // Most heartbeats change no key. A tree's order is a function of its
+  // (key, peer) entries alone (treap priorities hash the peer), so an
+  // entry whose key did not move stays where it is and answers exactly
+  // as an erase and re-insert would. Keys compare by bits, not ==:
+  // -0.0 and 0.0 tie in a tree but not in every bound a frontier feeds.
+  const Slot old = slot;
+  compute_keys(slot, slot_index, context);
+  for_each_tree(*this, [&](RankedTree& tree, double Slot::*key) {
+    if (std::bit_cast<std::uint64_t>(old.*key) == std::bit_cast<std::uint64_t>(slot.*key)) {
+      return;
+    }
+    tree.erase(old.*key, slot.peer);
+    tree.insert(slot.*key, slot.peer);
+    ++tree_updates_;
+  });
+  const bool idle = snaps_[slot_index].idle;
+  if (idle != slot.indexed_idle) {
+    slot.indexed_idle = idle;
+    if (idle) {
+      ++online_idle_;
+    } else {
+      --online_idle_;
+    }
+  }
+}
+
+void CandidateIndex::insert_into_trees(Slot& slot, bool idle) {
+  ids_.insert(0.0, slot.peer);
+  ++tree_updates_;
+  for_each_tree(*this, [&](RankedTree& tree, double Slot::*key) {
+    tree.insert(slot.*key, slot.peer);
+    ++tree_updates_;
+  });
   slot.in_trees = true;
   slot.indexed_idle = idle;
   if (slot.indexed_idle) ++online_idle_;
 }
 
 void CandidateIndex::remove_from_trees(Slot& slot) {
-  const PeerId peer = slot.peer;
-  ids_.erase(0.0, peer);
-  switch (kind_) {
-    case ModelKind::kUserPreference:
-      t_static_.erase(slot.key_static, peer);
-      break;
-    case ModelKind::kEvaluator:
-      t_eval_.erase(slot.key_eval, peer);
-      break;
-    case ModelKind::kHybrid:
-      t_eval_.erase(slot.key_eval, peer);
-      [[fallthrough]];
-    case ModelKind::kEconomic:
-      t_base_.erase(slot.key_base, peer);
-      t_speed_.erase(slot.key_speed, peer);
-      t_rate_.erase(slot.key_rate, peer);
-      t_resp_.erase(slot.key_resp, peer);
-      t_price_.erase(slot.key_price, peer);
-      t_cpu_.erase(slot.key_cpu, peer);
-      break;
-    default:
-      break;
-  }
+  ids_.erase(0.0, slot.peer);
+  for_each_tree(*this,
+                [&](RankedTree& tree, double Slot::*key) { tree.erase(slot.*key, slot.peer); });
   slot.in_trees = false;
   if (slot.indexed_idle) --online_idle_;
   slot.indexed_idle = false;
+}
+
+std::string CandidateIndex::check_consistency() const {
+  std::size_t indexed = 0;
+  std::size_t idle = 0;
+  std::string fault;
+  const auto fail = [&fault](const Slot& slot, const char* what) {
+    if (fault.empty()) fault = "peer " + std::to_string(slot.peer.value()) + " " + what;
+  };
+  for (std::size_t i = 0; i < slots_.size() && fault.empty(); ++i) {
+    const Slot& slot = slots_[i];
+    if (!slot.in_trees) {
+      if (slot.indexed_idle) fail(slot, "counts as idle outside the trees");
+      continue;
+    }
+    ++indexed;
+    if (slot.indexed_idle) ++idle;
+    // A clean slot was refreshed after its snapshot last changed.
+    if (!slot.dirty && !all_dirty_ && slot.indexed_idle != snaps_[i].idle) {
+      fail(slot, "has an indexed idle flag that differs from its snapshot");
+    }
+    if (!ids_.contains(0.0, slot.peer)) fail(slot, "is missing from the id tree");
+    for_each_tree(*this, [&](const RankedTree& tree, double Slot::*key) {
+      if (!tree.contains(slot.*key, slot.peer)) {
+        fail(slot, "is missing from a criterion tree at its cached key");
+      }
+    });
+  }
+  if (!fault.empty()) return fault;
+  if (ids_.size() != indexed) return "id tree size differs from the indexed count";
+  for_each_tree(*this, [&](const RankedTree& tree, double Slot::*) {
+    if (tree.size() != indexed) fault = "criterion tree size differs from the indexed count";
+  });
+  if (fault.empty() && online_idle_ != idle) {
+    fault = "online_idle_ differs from the idle indexed slots";
+  }
+  return fault;
 }
 
 // ---- threshold-walk plumbing ------------------------------------------

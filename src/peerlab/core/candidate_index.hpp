@@ -58,6 +58,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -155,6 +156,17 @@ class CandidateIndex {
   [[nodiscard]] std::uint64_t bound_pulls() const noexcept { return pulls_; }
   [[nodiscard]] std::uint64_t dense_sweeps() const noexcept { return dense_sweeps_; }
   [[nodiscard]] std::uint64_t rebuilds() const noexcept { return rebuilds_; }
+  /// Tree entries (re)inserted: every tree of a slot entering the
+  /// trees, then one per criterion tree whose key a refresh moved. Not
+  /// exported as a metric; tests pin the work a heartbeat costs by it.
+  [[nodiscard]] std::uint64_t tree_updates() const noexcept { return tree_updates_; }
+
+  /// Test hook: an empty string when every indexed slot sits in each of
+  /// its trees at its cached keys, every tree holds exactly the indexed
+  /// slots, online_idle_ counts the indexed idle slots, and each clean
+  /// slot's indexed idle flag is its snapshot's; otherwise the first
+  /// fault found.
+  [[nodiscard]] std::string check_consistency() const;
 
  private:
   enum class ModelKind : std::uint8_t {
@@ -246,6 +258,13 @@ class CandidateIndex {
   void drain_expiry(Seconds now);
   void flush_dirty(const SelectionContext& context, Seconds sim_now);
   void refresh_slot(std::uint32_t slot_index, const SelectionContext& context, Seconds sim_now);
+  /// Re-keys an indexed slot that stays online, touching only the trees
+  /// whose key moved and online_idle_ only when the idle flag flips.
+  void rekey_in_place(Slot& slot, std::uint32_t slot_index, const SelectionContext& context);
+  /// Calls f(tree, &Slot::key) for each criterion tree the bound model
+  /// keys (ids_ excluded); `Self` is this index, const or not.
+  template <typename Self, typename F>
+  static void for_each_tree(Self& self, F&& f);
   void compute_keys(Slot& slot, std::uint32_t slot_index, const SelectionContext& context);
   void insert_into_trees(Slot& slot, bool idle);
   void remove_from_trees(Slot& slot);
@@ -354,6 +373,7 @@ class CandidateIndex {
   std::uint64_t pulls_ = 0;
   std::uint64_t dense_sweeps_ = 0;
   std::uint64_t rebuilds_ = 0;
+  std::uint64_t tree_updates_ = 0;
 };
 
 }  // namespace peerlab::core

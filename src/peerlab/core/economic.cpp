@@ -96,8 +96,12 @@ void EconomicSchedulingModel::rank_into(std::span<const PeerSnapshot> candidates
     if (config_.prefer_idle && any_idle && !c.idle) continue;
     Offer offer;
     offer.peer = &c;
-    offer.completion = estimate_ready_time(c) + estimate_service_time(c, context);
-    offer.cost = estimate_cost(c, context);
+    const Seconds service = estimate_service_time(c, context);
+    offer.completion = estimate_ready_time(c) + service;
+    // estimate_cost charges a work-free petition the service time just
+    // estimated; reuse it rather than read the history means again.
+    offer.cost = context.work > 0.0 ? estimate_cost(c, context)
+                                    : c.price_per_cpu_second * service;
     if (context.deadline > 0.0 && context.now + offer.completion > context.deadline) {
       offer.feasible = false;
     }

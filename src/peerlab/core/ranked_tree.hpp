@@ -68,6 +68,17 @@ class RankedTree {
     return erased;
   }
 
+  /// True when (key, peer) is present.
+  [[nodiscard]] bool contains(double key, PeerId peer) const {
+    std::uint32_t t = root_;
+    while (t != kNil) {
+      const Node& node = nodes_[t];
+      if (node.key == key && node.peer == peer) return true;
+      t = before(key, peer, node.key, node.peer) ? node.left : node.right;
+    }
+    return false;
+  }
+
   /// The i-th smallest entry (0-based) by (key, peer). i < size().
   [[nodiscard]] Entry kth(std::size_t i) const {
     PEERLAB_CHECK_MSG(i < size(), "RankedTree::kth out of range");

@@ -1,7 +1,6 @@
 #include "peerlab/econ/economy.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "peerlab/common/check.hpp"
 
@@ -128,6 +127,23 @@ double EconEngine::efficiency_score(const core::PeerSnapshot& peer, GigaHertz ma
          total;
 }
 
+const core::PeerSnapshot& EconEngine::candidate(std::span<const core::PeerSnapshot> candidates,
+                                                PeerId peer) {
+  auto it = position_.find(peer);
+  if (it == position_.end() || it->second >= candidates.size() ||
+      candidates[it->second].peer != peer) {
+    // A new candidate set (or a peer registered since the last one):
+    // re-learn every position once.
+    position_.clear();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      position_.emplace(candidates[i].peer, i);
+    }
+    it = position_.find(peer);
+    PEERLAB_CHECK_MSG(it != position_.end(), "ranked peer missing from candidate set");
+  }
+  return candidates[it->second];
+}
+
 EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapshot> candidates,
                                                const core::SelectionContext& context,
                                                std::vector<PeerId>& ranking) {
@@ -141,31 +157,25 @@ EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapsho
     return verdict;
   }
 
-  std::unordered_map<PeerId, const core::PeerSnapshot*> by_peer;
-  by_peer.reserve(candidates.size());
-  for (const auto& snap : candidates) by_peer.emplace(snap.peer, &snap);
-
   const core::EconObjective objective = objective_for(context);
   GigaHertz max_cpu = 0.0;
 
   entries_.clear();
   entries_.reserve(ranking.size());
   for (std::size_t rank = 0; rank < ranking.size(); ++rank) {
-    const auto it = by_peer.find(ranking[rank]);
-    PEERLAB_CHECK_MSG(it != by_peer.end(), "ranked peer missing from candidate set");
     Entry entry;
     entry.peer = ranking[rank];
+    entry.snap = &candidate(candidates, entry.peer);
     entry.model_rank = rank;
-    entry.appraisal = appraise(*it->second, context);
+    entry.appraisal = appraise(*entry.snap, context);
     entries_.push_back(entry);
-    max_cpu = std::max(max_cpu, it->second->cpu_ghz);
+    max_cpu = std::max(max_cpu, entry.snap->cpu_ghz);
   }
   if (objective == core::EconObjective::kEfficiency) {
     for (Entry& entry : entries_) {
       // Availability must see the same assignment hints the appraisal
       // priced in, or a burst of petitions all crown the same peer.
-      entry.efficiency =
-          efficiency_score(loaded_view(*by_peer.at(entry.peer), context.now), max_cpu);
+      entry.efficiency = efficiency_score(loaded_view(*entry.snap, context.now), max_cpu);
     }
   }
 

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "peerlab/common/ids.hpp"
@@ -155,7 +156,8 @@ class EconEngine {
   /// place: feasible candidates first, sorted by the petition's
   /// objective with the model's order breaking ties, then infeasible
   /// candidates in model order. `ranking` must only contain peers
-  /// present in `candidates`.
+  /// present in `candidates`, and no peer may appear in `candidates`
+  /// twice.
   Verdict admit_and_rank(std::span<const core::PeerSnapshot> candidates,
                          const core::SelectionContext& context,
                          std::vector<PeerId>& ranking);
@@ -216,11 +218,20 @@ class EconEngine {
   /// Scratch reused across petitions (single-threaded broker).
   struct Entry {
     PeerId peer;
+    const core::PeerSnapshot* snap = nullptr;
     std::size_t model_rank = 0;
     Appraisal appraisal;
     double efficiency = 0.0;
   };
   std::vector<Entry> entries_;
+
+  /// Each peer's position in the last candidate span admission read.
+  /// The broker passes its index's snapshots, which keep their
+  /// registration order (new peers append), so positions stay valid
+  /// across petitions and the map is rebuilt only when a lookup misses.
+  std::unordered_map<PeerId, std::size_t> position_;
+  const core::PeerSnapshot& candidate(std::span<const core::PeerSnapshot> candidates,
+                                      PeerId peer);
 
   /// Outstanding assignment hints, pruned lazily on each note.
   struct Hint {

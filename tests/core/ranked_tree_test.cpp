@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <utility>
 #include <vector>
@@ -46,6 +47,18 @@ TEST(RankedTree, EraseRemovesExactEntry) {
   ASSERT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.kth(0).peer, PeerId(2));
   EXPECT_FALSE(tree.erase(1.0, PeerId(1)));  // already gone
+}
+
+TEST(RankedTree, ContainsMatchesExactPairsOnly) {
+  RankedTree tree(7);
+  for (std::uint64_t i = 1; i <= 32; ++i) tree.insert(static_cast<double>(i % 4), PeerId(i));
+  EXPECT_TRUE(tree.contains(1.0, PeerId(5)));
+  EXPECT_TRUE(tree.contains(0.0, PeerId(32)));
+  EXPECT_FALSE(tree.contains(2.0, PeerId(5)));  // present under another key
+  EXPECT_FALSE(tree.contains(1.0, PeerId(33)));
+  EXPECT_FALSE(tree.contains(std::nextafter(1.0, 2.0), PeerId(5)));
+  EXPECT_TRUE(tree.erase(1.0, PeerId(5)));
+  EXPECT_FALSE(tree.contains(1.0, PeerId(5)));
 }
 
 TEST(RankedTree, ClearEmptiesAndReusesNodes) {

@@ -7,7 +7,8 @@
 // heartbeats (register / re-register, field churn, liveness decay),
 // statistics mutations, history records, time advances and petitions;
 // after every petition the index's answer must equal the reference
-// ranking of a broker-style snapshot mirror, element for element. 200
+// ranking of a broker-style snapshot mirror, element for element, and
+// the index must pass check_consistency(). 200
 // scenarios per model × 5 models = 1000 scenarios, plus defended arms
 // for the four index-served defended models: reputation weights 0 and
 // 2.0, per-peer scores drawn to hit exactly 0 and 1 and to tie, and
@@ -307,6 +308,8 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
       const bool walk = !blind || (ctx.exclude.empty() && ctx.reputation_weight == 0.0);
       ASSERT_EQ(harness.index().select(ctx, harness.now(), k, got), walk)
           << "unexpected path, seed=" << seed << " scenario=" << scenario;
+      ASSERT_EQ(harness.index().check_consistency(), "")
+          << "seed=" << seed << " scenario=" << scenario << " petition=" << petition;
       const auto want = peerlab::testing::ref_select_k(*ref, snaps, ctx, k);
       ASSERT_EQ(got, want) << describe(seed, scenario, petition, got, want);
       ++petition;

@@ -12,7 +12,9 @@
 // the econ engine on and send constrained petitions, which the index's
 // model pass answers with the full ranking that admission re-ranks:
 // the reference's full ranking followed by a twin engine's
-// admit_and_rank over the reference snapshots.
+// admit_and_rank over the reference snapshots. After every petition the
+// index must also pass check_consistency(): each indexed peer in each
+// of its trees at its cached keys, and the idle count exact.
 
 #include <gtest/gtest.h>
 
@@ -243,6 +245,8 @@ void run_world(ModelChoice choice, std::uint64_t seed, bool defended, bool econ)
         for (const PeerId peer : want) engine.note_assignment(peer, world.sim.now());
       }
       const auto got = world.broker->select_peers(ctx, k);
+      ASSERT_EQ(world.broker->candidate_index().check_consistency(), "")
+          << "seed=" << seed << " step=" << step;
       ASSERT_EQ(got, want) << "seed=" << seed << " step=" << step
                            << " model=" << static_cast<int>(choice)
                            << " defended=" << defended << " econ=" << econ;
